@@ -15,7 +15,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -473,7 +473,7 @@ class _SampledOracle:
 
     def evaluate(self, K, gamma: float, cap: float = np.inf) -> tuple[float, bool]:
         self.eval_queries += 1
-        cfg = oracles.with_overrides(self.base, cap=cap)
+        cfg = replace(self.base, cap=cap)
         res = oracles.eps_eval(
             self.sys, K, gamma, cfg, self.cost, query_index=self._next_index()
         )
@@ -655,6 +655,8 @@ def discount_anneal(
         except (InnerDivergedError, BudgetExceededError) as exc:
             exc.anneal_iteration = t
             raise
+        except oracles.DivergedAllError as exc:
+            raise InnerDivergedError(str(exc), iteration=t) from exc
         record = IterationRecord(
             iteration=t,
             gamma=gamma,

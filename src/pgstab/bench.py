@@ -18,12 +18,12 @@ import numpy as np
 from . import oracles
 from .anneal import AnnealConfig, discount_anneal
 from .dynamics import (
-    BLOWUP_FACTOR,
     CartPoleParams,
     NonlinearSystem,
     cartpole,
     jacobian_linearization,
     linear_as_nonlinear,
+    lockstep,
 )
 from .lqr import lqr_cost, reward_shaping_counterexample
 from .matops import NotStabilizableError, solve_dare, spectral_radius
@@ -69,33 +69,17 @@ def _converged_mask(
     targets: np.ndarray,
 ) -> np.ndarray:
     """True per rollout if the undamped closed loop reaches ||x|| <= target."""
-    K = np.asarray(K, dtype=float)
-    Kt = K.T.copy()
+    Kt = np.asarray(K, dtype=float).T.copy()
     X = np.array(x0s, dtype=float)
-    blow2 = (BLOWUP_FACTOR * np.maximum(1.0, np.linalg.norm(X, axis=1))) ** 2
     tgt2 = np.asarray(targets, dtype=float) ** 2
     conv = (X * X).sum(axis=1) <= tgt2
     act = np.flatnonzero(~conv)
-    X = X[act]
-    blow2 = blow2[act]
-    tgt2 = tgt2[act]
-    # squared-norm tests throughout; stopped rows are compacted out
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(horizon):
-            if not act.size:
-                break
-            X = np.asarray(sys.step(X, X @ Kt), dtype=float)
-            s2 = (X * X).sum(axis=1)
-            reached = s2 <= tgt2  # NaN and inf fail `<=`
-            dead = ~(s2 <= blow2)
-            stop = reached | dead
-            if stop.any():
-                conv[act[reached]] = True
-                keep = ~stop
-                act = act[keep]
-                X = X[keep]
-                blow2 = blow2[keep]
-                tgt2 = tgt2[keep]
+
+    def advance(X, tgt2):
+        X = np.asarray(sys.step(X, X @ Kt), dtype=float)
+        return X, (tgt2,), (X * X).sum(axis=1) <= tgt2  # NaN and inf fail `<=`
+
+    conv[act] = lockstep(X[act], horizon, advance, (tgt2[act],)).stopped
     return conv
 
 

@@ -4,7 +4,8 @@ Every subcommand accepts ``--config`` (a JSON file whose top-level keys
 override the defaults of that subcommand's config), plus ``--seed``,
 ``--out``, ``--oracle`` and ``--estimator`` as quick overrides.  On success
 the exit code is 0 and a JSON summary goes to stdout; on failure the exit
-code is nonzero and a machine-readable error record goes to stderr.
+code is nonzero and a machine-readable error record goes to stderr.  Config
+keys the subcommand does not accept are refused with exit code 2.
 """
 
 from __future__ import annotations
@@ -50,13 +51,38 @@ def _system_from_spec(spec: dict):
     raise ValueError(f"unknown system kind {kind!r}")
 
 
-def _pick(cfg: dict, keys) -> dict:
-    return {k: v for k, v in cfg.items() if k in keys}
+def _fields(cls) -> set[str]:
+    return set(cls.__dataclass_fields__)
+
+
+# accepted config keys per subcommand, and inside the nested objects
+_CONFIG_KEYS = {
+    "anneal-linear": _fields(LinearSuiteConfig),
+    "anneal-cartpole": _fields(CartpoleBenchConfig),
+    "roa": {"system", "gain", "gain_file", "roa"},
+    "counterexample": {"gamma"},
+    "baseline-lqr": {"params", "roa"},
+}
+_NESTED_KEYS = {
+    "roa": _fields(RoaConfig),
+    "params": _fields(CartPoleParams),
+    "system": {"kind", "params", "A", "B"},
+}
+
+
+def _check_keys(cfg: dict, accepted: set[str], where: str) -> None:
+    """Refuse any config key the command would otherwise silently ignore."""
+    for key, value in cfg.items():
+        if key not in accepted:
+            raise ValueError(
+                f"unknown config key {where}{key!r}; accepted: {sorted(accepted)}"
+            )
+        if key in _NESTED_KEYS and isinstance(value, dict):
+            _check_keys(value, _NESTED_KEYS[key], f"{where}{key}.")
 
 
 def _cmd_anneal_linear(args, cfg: dict) -> dict:
-    fields = LinearSuiteConfig.__dataclass_fields__.keys()
-    kwargs = _pick(cfg, fields)
+    kwargs = dict(cfg)
     if "dims" in kwargs:
         kwargs["dims"] = tuple(kwargs["dims"])
     if "modes" in kwargs:
@@ -79,8 +105,7 @@ def _cmd_anneal_linear(args, cfg: dict) -> dict:
 
 
 def _cmd_anneal_cartpole(args, cfg: dict) -> dict:
-    fields = set(CartpoleBenchConfig.__dataclass_fields__.keys()) - {"roa", "params"}
-    kwargs = _pick(cfg, fields)
+    kwargs = dict(cfg)
     if "radii" in kwargs:
         kwargs["radii"] = tuple(kwargs["radii"])
     if "roa" in cfg:
@@ -172,6 +197,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config)
+        _check_keys(cfg, _CONFIG_KEYS[args.command], "")
         summary = _COMMANDS[args.command](args, cfg)
     except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
         _sys.stderr.write(

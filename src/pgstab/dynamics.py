@@ -1,20 +1,21 @@
-"""Simulator-side view of a system: black-box steps, damped rollouts, cart-pole.
+"""Simulator-side view of a system: black-box steps, lockstep rollouts, cart-pole.
 
 A ``NonlinearSystem`` exposes exactly what a simulator gives you: a one-step
-transition ``G(x, u)`` and (for linearization and sensitivity propagation) its
-Jacobians.  Both callables accept a single state of shape ``(d_x,)`` or a
-batch of shape ``(N, d_x)`` and broadcast accordingly; all built-in systems
-are vectorized over the batch axis.
+transition ``G(x, u)`` and, for linearization and sensitivity propagation, a
+batched step that also returns its Jacobians.
 
 Discounting is realized by damping the dynamics, never the costs: a damped
 rollout steps ``x_{t+1} = sqrt(gamma) G(x_t, K x_t)`` and accumulates
 *undiscounted* quadratic stage costs.  On linear systems this reproduces the
 discounted cost exactly.
+
+Every batched rollout in the package runs through ``lockstep``, the one
+engine that steps rows together, applies the blow-up bound and compacts the
+rows that end.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,19 +28,17 @@ BLOWUP_FACTOR = 1e6  # ||x_t|| > BLOWUP_FACTOR * max(1, ||x0||) counts as diverg
 
 @dataclass(frozen=True)
 class NonlinearSystem:
-    """Black-box dynamics x' = G(x, u) with Jacobian access.
+    """Black-box dynamics x' = G(x, u).
 
     Attributes
     ----------
     d_x, d_u : state and input dimensions.
-    step : callable ``(x, u) -> x'`` mapping states to next states; must
-        broadcast over a leading batch axis.
-    jac : callable ``(x, u) -> (G_x, G_u)`` returning the Jacobians of
-        ``step`` at ``(x, u)``, shapes ``(d_x, d_x)`` and ``(d_x, d_u)``
-        (with a leading batch axis if the inputs are batched).
-    step_jac : optional fused callable ``(x, u) -> (x', G_x, G_u)`` for
-        batched inputs; lets sensitivity rollouts share the work between the
-        step and its Jacobians.  Must agree with ``step`` and ``jac`` exactly.
+    step : callable ``(x, u) -> x'`` mapping states to next states; takes a
+        single state ``(d_x,)`` or a batch ``(N, d_x)`` with inputs to match.
+    step_jac : callable ``(X, U) -> (X', G_x, G_u)`` on batches only, shapes
+        ``(N, d_x)``, ``(N, d_x, d_x)`` and ``(N, d_x, d_u)``; ``X'`` must
+        equal ``step(X, U)`` exactly.  Callers read the Jacobians and never
+        write to them, so read-only views are allowed.
     name : short descriptor used in reports.
     linear : the exact ``LinearSystem`` when the dynamics are declared
         linear, else ``None``.  Declared-linear systems get the cheaper
@@ -49,10 +48,9 @@ class NonlinearSystem:
     d_x: int
     d_u: int
     step: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    jac: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     step_jac: Callable[
         [np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]
-    ] | None = None
+    ]
     name: str = ""
     linear: LinearSystem | None = None
 
@@ -65,33 +63,14 @@ def linear_as_nonlinear(sys: LinearSystem, name: str = "linear") -> NonlinearSys
     def step(x, u):
         return np.asarray(x, dtype=float) @ At + np.asarray(u, dtype=float) @ Bt
 
-    def _batch_jacs(n):
-        return (
-            np.broadcast_to(A, (n,) + A.shape).copy(),
-            np.broadcast_to(B, (n,) + B.shape).copy(),
-        )
-
-    def jac(x, u):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return A.copy(), B.copy()
-        return _batch_jacs(x.shape[0])
-
     def step_jac(x, u):
-        # read-only broadcast views: consumers combine, never mutate, Jacobians
         n = x.shape[0]
         gx = np.broadcast_to(A, (n,) + A.shape)
         gu = np.broadcast_to(B, (n,) + B.shape)
         return x @ At + u @ Bt, gx, gu
 
     return NonlinearSystem(
-        d_x=sys.d_x,
-        d_u=sys.d_u,
-        step=step,
-        jac=jac,
-        step_jac=step_jac,
-        name=name,
-        linear=sys,
+        d_x=sys.d_x, d_u=sys.d_u, step=step, step_jac=step_jac, name=name, linear=sys
     )
 
 
@@ -121,8 +100,8 @@ def cartpole(params: CartPoleParams | None = None) -> NonlinearSystem:
         [m_p + m_c,        -m_p l cos(theta)] [xddot    ]   [u - m_p l sin(theta) thetadot^2]
         [-m_p l cos(theta), m_p l^2         ] [thetaddot] = [m_p g l sin(theta)             ]
 
-    and the 2x2 mass matrix is inverted in closed form.  ``jac`` is the
-    hand-differentiated Jacobian of the Euler step.
+    and the 2x2 mass matrix is inverted in closed form.  ``step_jac`` returns
+    the hand-differentiated Jacobian of the Euler step.
     """
     p = params or CartPoleParams()
     mp, mc, l, g, ts = p.m_p, p.m_c, p.l, p.g, p.ts
@@ -155,7 +134,9 @@ def cartpole(params: CartPoleParams | None = None) -> NonlinearSystem:
         xacc, thacc = _core(th, om, u[..., 0])[5:]
         return _euler(x, th, v, om, xacc, thacc)
 
-    def _jacs(s, c, invdet, b1, b2, xacc, thacc, om, n):
+    def step_jac(x, u):
+        th, v, om = x[:, 1], x[:, 2], x[:, 3]
+        s, c, invdet, b1, b2, xacc, thacc = _core(th, om, u[:, 0])
         ddet_scaled = 2.0 * mpl * mpl * c * s * invdet
         db1_dth = -mpl * c * om**2
         db1_dom = -2.0 * mpl * s * om
@@ -163,14 +144,11 @@ def cartpole(params: CartPoleParams | None = None) -> NonlinearSystem:
         dxacc_dth = (
             mpll * db1_dth - mpl * s * b2 + mpl * c * db2_dth
         ) * invdet - xacc * ddet_scaled
-        dxacc_dom = mpll * db1_dom * invdet
-        dxacc_du = mpll * invdet
         dthacc_dth = (
             -mpl * s * b1 + mpl * c * db1_dth + mtot * db2_dth
         ) * invdet - thacc * ddet_scaled
-        dthacc_dom = mpl * c * db1_dom * invdet
-        dthacc_du = mpl * c * invdet
 
+        n = x.shape[0]
         gx = np.zeros((n, 4, 4))
         gx[:, 0, 0] = 1.0
         gx[:, 0, 2] = ts
@@ -178,127 +156,77 @@ def cartpole(params: CartPoleParams | None = None) -> NonlinearSystem:
         gx[:, 1, 3] = ts
         gx[:, 2, 1] = ts * dxacc_dth
         gx[:, 2, 2] = 1.0
-        gx[:, 2, 3] = ts * dxacc_dom
+        gx[:, 2, 3] = ts * (mpll * db1_dom * invdet)
         gx[:, 3, 1] = ts * dthacc_dth
-        gx[:, 3, 3] = 1.0 + ts * dthacc_dom
+        gx[:, 3, 3] = 1.0 + ts * (mpl * c * db1_dom * invdet)
         gu = np.zeros((n, 4, 1))
-        gu[:, 2, 0] = ts * dxacc_du
-        gu[:, 3, 0] = ts * dthacc_du
-        return gx, gu
+        gu[:, 2, 0] = ts * (mpll * invdet)
+        gu[:, 3, 0] = ts * (mpl * c * invdet)
+        return _euler(x, th, v, om, xacc, thacc), gx, gu
 
-    def jac(x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        single = x.ndim == 1
-        xb = np.atleast_2d(x)
-        ub = u.reshape(xb.shape[0], 1)
-        th, om = xb[:, 1], xb[:, 3]
-        core = _core(th, om, ub[:, 0])
-        gx, gu = _jacs(*core, om, xb.shape[0])
-        if single:
-            return gx[0], gu[0]
-        return gx, gu
-
-    def step_jac(x, u):
-        th, v, om = x[:, 1], x[:, 2], x[:, 3]
-        core = _core(th, om, u[:, 0])
-        xn = _euler(x, th, v, om, *core[5:])
-        gx, gu = _jacs(*core, om, x.shape[0])
-        return xn, gx, gu
-
-    return NonlinearSystem(
-        d_x=4, d_u=1, step=step, jac=jac, step_jac=step_jac, name="cartpole"
-    )
+    return NonlinearSystem(d_x=4, d_u=1, step=step, step_jac=step_jac, name="cartpole")
 
 
 def jacobian_linearization(sys: NonlinearSystem) -> LinearSystem:
     """Linearization (A, B) of the dynamics at the origin equilibrium."""
-    gx, gu = sys.jac(np.zeros(sys.d_x), np.zeros(sys.d_u))
-    return LinearSystem(np.asarray(gx, dtype=float), np.asarray(gu, dtype=float))
+    _, gx, gu = sys.step_jac(np.zeros((1, sys.d_x)), np.zeros((1, sys.d_u)))
+    return LinearSystem(gx[0], gu[0])
 
 
 @dataclass
-class Rollout:
-    """A single closed-loop trajectory with its running quadratic cost.
+class Lockstep:
+    """Per-row outcome of ``lockstep``; every array has one entry per row."""
 
-    ``states`` has one more row than ``inputs`` and ``stage_costs``.
-    ``truncated`` means the rollout stopped before the requested horizon
-    (cost cap hit or divergence); ``diverged`` means the state blew past the
-    blow-up bound or went non-finite.
+    steps: np.ndarray  # (N,) steps taken before the row ended
+    diverged: np.ndarray  # (N,) bool, the state left the blow-up bound
+    stopped: np.ndarray  # (N,) bool, flagged by ``advance`` and not diverged
+    carry: tuple  # the carried arrays as each row ended, rows in input order
+
+
+def lockstep(X, horizon: int, advance, carry: tuple = ()) -> Lockstep:
+    """Step a batch of rollouts together until each ends.
+
+    ``advance(X, *carry) -> (X', carry', stop)`` takes one step of every
+    live row: ``carry`` holds per-row arrays (leading axis N) that ride along,
+    and ``stop`` is a per-row bool array that ends rows, or ``None``.  A row
+    ends after ``horizon`` steps, when ``stop`` flags it, or when its state
+    leaves ``||x_t|| <= BLOWUP_FACTOR * max(1, ||x_0||)`` or goes non-finite
+    (it is then ``diverged``, and not ``stopped`` even if flagged).  Ended
+    rows are compacted out, so the common all-alive case runs without
+    per-step fancy indexing.
     """
-
-    states: np.ndarray
-    inputs: np.ndarray
-    stage_costs: np.ndarray
-    truncated: bool
-    diverged: bool
-
-    @property
-    def cost(self) -> float:
-        return float(self.stage_costs.sum())
-
-    @property
-    def horizon(self) -> int:
-        return self.inputs.shape[0]
-
-
-def damped_rollout(
-    sys: NonlinearSystem,
-    K: np.ndarray,
-    gamma: float,
-    x0: np.ndarray,
-    horizon: int,
-    cost: CostSpec,
-    *,
-    cap: float = np.inf,
-    blowup_factor: float = BLOWUP_FACTOR,
-) -> Rollout:
-    """Roll the damped closed loop x' = sqrt(gamma) G(x, Kx) for ``horizon`` steps.
-
-    Stage costs are undiscounted ``x'Qx + u'Ru``.  Stops early (``truncated``)
-    once the accumulated cost exceeds ``cap``, and flags ``diverged`` if the
-    state norm exceeds ``blowup_factor * max(1, ||x0||)`` or goes non-finite.
-    A zero horizon returns the initial state alone at zero cost.
-    """
-    if not (0.0 < gamma <= 1.0):
-        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    K = np.asarray(K, dtype=float)
-    x = np.asarray(x0, dtype=float).reshape(sys.d_x)
-    sq = np.sqrt(gamma)
-    blow2 = (blowup_factor * max(1.0, float(np.linalg.norm(x)))) ** 2
-
-    states = [x.copy()]
-    inputs: list[np.ndarray] = []
-    costs: list[float] = []
-    total = 0.0
-    truncated = False
-    diverged = False
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    blow2 = (BLOWUP_FACTOR * np.maximum(1.0, np.linalg.norm(X, axis=1))) ** 2
+    steps = np.zeros(n, dtype=int)
+    diverged = np.zeros(n, dtype=bool)
+    stopped = np.zeros(n, dtype=bool)
+    final = tuple(np.empty_like(c) for c in carry)
+    act = np.arange(n)
+    t = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(horizon):
-            u = K @ x
-            stage = float(cost.stage(x, u))
-            inputs.append(u.copy())
-            costs.append(stage)
-            total += stage
-            x = sq * np.asarray(sys.step(x, u), dtype=float).reshape(sys.d_x)
-            states.append(x.copy())
+        while t < horizon and act.size:
+            X, carry, flag = advance(X, *carry)
+            t += 1
             # squared-norm test: overflow to inf and NaN both fail `<=`
-            if not float((x * x).sum()) <= blow2:
-                diverged = True
-                truncated = True
-                break
-            if total > cap:
-                truncated = True
-                break
-    return Rollout(
-        states=np.array(states),
-        inputs=np.array(inputs).reshape(len(inputs), sys.d_u),
-        stage_costs=np.array(costs),
-        truncated=truncated,
-        diverged=diverged,
-    )
+            bad = ~((X * X).sum(axis=1) <= blow2)
+            stop = bad if flag is None else bad | flag
+            if stop.any():
+                ended = act[stop]
+                steps[ended] = t
+                diverged[act[bad]] = True
+                stopped[act[stop & ~bad]] = True
+                for out, c in zip(final, carry):
+                    out[ended] = c[stop]
+                keep = ~stop
+                act = act[keep]
+                X = X[keep]
+                blow2 = blow2[keep]
+                carry = tuple(c[keep] for c in carry)
+    steps[act] = t
+    for out, c in zip(final, carry):
+        out[act] = c
+    return Lockstep(steps=steps, diverged=diverged, stopped=stopped, carry=final)
 
 
 @dataclass
@@ -320,13 +248,12 @@ def rollout_cost_batch(
     cost: CostSpec,
     *,
     rollout_cap: float = np.inf,
-    blowup_factor: float = BLOWUP_FACTOR,
 ) -> BatchCosts:
-    """Accumulate stage costs for a batch of damped closed-loop rollouts.
+    """Accumulate undiscounted stage costs of damped closed-loop rollouts.
 
-    Semantically identical to ``damped_rollout`` run per row of ``x0s`` with
-    ``cap=rollout_cap``, but stepped in lockstep across the batch.  ``K`` may
-    also carry one gain per rollout (shape ``(N, d_u, d_x)``).
+    Each row of ``x0s`` steps ``x' = sqrt(gamma) G(x, K x)`` for ``horizon``
+    steps, or until it diverges or its cost exceeds ``rollout_cap``.  ``K``
+    may also carry one gain per rollout (shape ``(N, d_u, d_x)``).
     """
     if not (0.0 < gamma <= 1.0):
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
@@ -336,83 +263,22 @@ def rollout_cost_batch(
         raise ValueError(f"x0s must have shape (N, {sys.d_x}), got {X.shape}")
     n = X.shape[0]
     per_row_gains = K.ndim == 3
-    if per_row_gains:
-        if K.shape != (n, sys.d_u, sys.d_x):
-            raise ValueError(
-                f"per-rollout gains must have shape ({n}, {sys.d_u}, {sys.d_x}),"
-                f" got {K.shape}"
-            )
-        Ks = K
-    else:
-        Kt = K.T.copy()
+    if per_row_gains and K.shape != (n, sys.d_u, sys.d_x):
+        raise ValueError(
+            f"per-rollout gains must have shape ({n}, {sys.d_u}, {sys.d_x}),"
+            f" got {K.shape}"
+        )
+    Kt = None if per_row_gains else K.T.copy()
     sq = np.sqrt(gamma)
 
-    totals = np.zeros(n)
-    steps = np.zeros(n, dtype=int)
-    diverged = np.zeros(n, dtype=bool)
-    capped = np.zeros(n, dtype=bool)
+    def advance(X, tot, *Ks):
+        u = (Ks[0] @ X[:, :, None])[:, :, 0] if Ks else X @ Kt
+        tot += cost.stage(X, u)
+        X = sq * np.asarray(sys.step(X, u), dtype=float)
+        return X, (tot, *Ks), tot > rollout_cap
 
-    # Rollouts step in lockstep; stopped rows are compacted out so the common
-    # all-alive case runs without per-step fancy indexing.
-    act = np.arange(n)
-    blow2 = (blowup_factor * np.maximum(1.0, np.linalg.norm(X, axis=1))) ** 2
-    tot = np.zeros(n)
-    t = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while t < horizon and act.size:
-            if per_row_gains:
-                u = (Ks @ X[:, :, None])[:, :, 0]
-            else:
-                u = X @ Kt
-            tot += cost.stage(X, u)
-            X = sq * np.asarray(sys.step(X, u), dtype=float)
-            t += 1
-            # squared-norm test: overflow to inf and NaN both fail `<=`
-            bad = ~((X * X).sum(axis=1) <= blow2)
-            over = tot > rollout_cap
-            stop = bad | over
-            if stop.any():
-                ridx = act[stop]
-                totals[ridx] = tot[stop]
-                steps[ridx] = t
-                diverged[act[bad]] = True
-                capped[act[over & ~bad]] = True
-                keep = ~stop
-                act = act[keep]
-                X = X[keep]
-                tot = tot[keep]
-                blow2 = blow2[keep]
-                if per_row_gains:
-                    Ks = Ks[keep]
-    totals[act] = tot
-    steps[act] = t
-    return BatchCosts(costs=totals, steps=steps, diverged=diverged, capped=capped)
-
-
-def rollout_to_csv(rollout: Rollout, path) -> None:
-    """Write a rollout as CSV with columns t, state, input, stage cost.
-
-    The final row carries the terminal state with empty input and cost cells.
-    """
-    d_x = rollout.states.shape[1]
-    d_u = rollout.inputs.shape[1] if rollout.inputs.size else 1
-    header = (
-        ["t"]
-        + [f"x{i}" for i in range(d_x)]
-        + [f"u{i}" for i in range(d_u)]
-        + ["stage_cost"]
+    carry = (np.zeros(n), K) if per_row_gains else (np.zeros(n),)
+    run = lockstep(X, horizon, advance, carry)
+    return BatchCosts(
+        costs=run.carry[0], steps=run.steps, diverged=run.diverged, capped=run.stopped
     )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t in range(rollout.horizon):
-            writer.writerow(
-                [t]
-                + [repr(float(v)) for v in rollout.states[t]]
-                + [repr(float(v)) for v in rollout.inputs[t]]
-                + [repr(float(rollout.stage_costs[t]))]
-            )
-        t = rollout.horizon
-        writer.writerow(
-            [t] + [repr(float(v)) for v in rollout.states[t]] + [""] * d_u + [""]
-        )

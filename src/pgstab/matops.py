@@ -82,13 +82,6 @@ def dlyap(
     return (x + x.T) / 2.0
 
 
-def dlyap_residual(a_cl, sigma, x) -> float:
-    """Relative residual ||X - Sigma - A'XA||_F / ||X||_F of a candidate solution."""
-    a_cl = np.asarray(a_cl, dtype=float)
-    res = x - sigma - a_cl.T @ x @ a_cl
-    return float(np.linalg.norm(res, "fro") / max(np.linalg.norm(x, "fro"), 1e-300))
-
-
 def _riccati_update(
     P: np.ndarray, Ad: np.ndarray, Bd: np.ndarray, Q: np.ndarray, R: np.ndarray
 ) -> np.ndarray:

@@ -14,14 +14,11 @@ distinct query indices give independent streams.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import BLOWUP_FACTOR, NonlinearSystem, rollout_cost_batch
+from .dynamics import NonlinearSystem, lockstep, rollout_cost_batch
 from .model import CostSpec
 
 
@@ -159,50 +156,27 @@ def eps_grad_sensitivity(
     Q, R = cost.Q, cost.R
     Kt = K.T.copy()
 
-    X = initial_states(cfg, d_x, query_index)
-    n = X.shape[0]
-    blow2 = (BLOWUP_FACTOR * np.maximum(1.0, np.linalg.norm(X, axis=1))) ** 2
-    # flat layout: S[n, i, a * d_x + b] = d x_i / d K[a, b]
-    S = np.zeros((n, d_x, p))
-    G = np.zeros((n, p))
-    costs = np.zeros(n)
-    dropped = 0
-    fused = sys.step_jac
+    def advance(X, S, G, costs):
+        # S[n, i, a * d_x + b] = d x_i / d K[a, b]; G accumulates d cost / d K
+        u = X @ Kt
+        qx = X @ Q
+        ru = u @ R
+        costs += (X * qx).sum(axis=1) + (u * ru).sum(axis=1)
+        w = 2.0 * (qx + ru @ K)  # d(stage)/dx pulled back through u = Kx
+        G += (w[:, None, :] @ S)[:, 0, :]
+        G += 2.0 * (ru[:, :, None] * X[:, None, :]).reshape(-1, p)
+        xn, gx, gu = sys.step_jac(X, u)
+        t_cl = gx + gu @ K
+        direct = (gu[:, :, :, None] * X[:, None, None, :]).reshape(-1, d_x, p)
+        return sq * xn, (sq * (t_cl @ S + direct), G, costs), None
 
-    # Rollouts step in lockstep; diverged rows are compacted out so the common
-    # all-alive case runs without per-step fancy indexing.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.horizon):
-            if not X.shape[0]:
-                break
-            u = X @ Kt
-            qx = X @ Q
-            ru = u @ R
-            costs += (X * qx).sum(axis=1) + (u * ru).sum(axis=1)
-            w = 2.0 * (qx + ru @ K)  # d(stage)/dx pulled back through u = Kx
-            G += (w[:, None, :] @ S)[:, 0, :]
-            G += 2.0 * (ru[:, :, None] * X[:, None, :]).reshape(-1, p)
-            if fused is not None:
-                xn, gx, gu = fused(X, u)
-            else:
-                gx, gu = sys.jac(X, u)
-                xn = np.asarray(sys.step(X, u), dtype=float)
-            t_cl = gx + gu @ K
-            direct = (gu[:, :, :, None] * X[:, None, None, :]).reshape(-1, d_x, p)
-            S = sq * (t_cl @ S + direct)
-            X = sq * xn
-            # squared-norm test: overflow to inf and NaN both fail `<=`
-            bad = ~((X * X).sum(axis=1) <= blow2)
-            if bad.any():
-                dropped += int(bad.sum())
-                keep = ~bad
-                X = X[keep]
-                S = S[keep]
-                G = G[keep]
-                costs = costs[keep]
-                blow2 = blow2[keep]
-
-    n_used = X.shape[0]
+    n = cfg.n_rollouts
+    carry = (np.zeros((n, d_x, p)), np.zeros((n, p)), np.zeros(n))
+    run = lockstep(initial_states(cfg, d_x, query_index), cfg.horizon, advance, carry)
+    kept = ~run.diverged
+    G, costs = run.carry[1][kept], run.carry[2][kept]
+    n_used = G.shape[0]
+    dropped = n - n_used
     if n_used == 0:
         raise DivergedAllError(
             f"all {n} sensitivity rollouts diverged at gamma={gamma:g}"
@@ -223,69 +197,6 @@ def eps_grad_sensitivity(
     )
 
 
-@dataclass
-class TwoPointResult:
-    gradient: np.ndarray
-    stderr: np.ndarray
-    value: float  # mean of the paired midpoint evaluations
-    used: int
-    dropped: int
-
-
-def two_point_gradient(
-    evaluate: Callable[[np.ndarray, np.random.Generator], float],
-    K: np.ndarray,
-    smoothing_radius: float,
-    n_directions: int,
-    seed: int,
-    query_index: int = 0,
-) -> TwoPointResult:
-    """Two-point zeroth-order gradient of an arbitrary scalar objective.
-
-    For each direction U uniform on the unit Frobenius sphere the estimate is
-    ``(d_K / (2 r_s)) * (f(K + r_s U) - f(K - r_s U)) * U`` with
-    ``d_K = K.size``; both evaluations see the same per-direction stream so
-    paired noise cancels.  ``evaluate`` may return NaN to drop a direction.
-    The pair midpoints ``(f_plus + f_minus) / 2`` double as a smoothed cost
-    estimate.
-    """
-    K = np.asarray(K, dtype=float)
-    d_k = K.size
-    root = np.random.SeedSequence(seed, spawn_key=(query_index,))
-    estimates = []
-    midpoints = []
-    dropped = 0
-    for child in root.spawn(n_directions):
-        rng = np.random.default_rng(child)
-        u = rng.standard_normal(K.shape)
-        u /= np.linalg.norm(u)
-        state = rng.bit_generator.state
-        f_plus = evaluate(K + smoothing_radius * u, rng)
-        rng.bit_generator.state = state  # same draw stream for the paired rollout
-        f_minus = evaluate(K - smoothing_radius * u, rng)
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            dropped += 1
-            continue
-        estimates.append(d_k / (2.0 * smoothing_radius) * (f_plus - f_minus) * u)
-        midpoints.append(0.5 * (f_plus + f_minus))
-    if not estimates:
-        raise DivergedAllError("all two-point direction pairs were dropped")
-    stack = np.array(estimates)
-    grad = stack.mean(axis=0)
-    stderr = (
-        stack.std(axis=0, ddof=1) / np.sqrt(len(estimates))
-        if len(estimates) > 1
-        else np.zeros_like(grad)
-    )
-    return TwoPointResult(
-        gradient=grad,
-        stderr=stderr,
-        value=float(np.mean(midpoints)),
-        used=len(estimates),
-        dropped=dropped,
-    )
-
-
 def eps_grad_zeroth_order(
     sys: NonlinearSystem,
     K: np.ndarray,
@@ -298,11 +209,10 @@ def eps_grad_zeroth_order(
 
     Each of the ``cfg.n_rollouts`` directions perturbs K by
     ``cfg.smoothing_radius`` along a random unit direction and differences two
-    rollout costs started from the same sphere point; both members of a pair
-    come from the direction's own seeded substream, exactly as
-    ``two_point_gradient`` would evaluate them, but all ``2 N`` rollouts are
-    stepped as one batch.  Direction pairs with a diverged member are dropped
-    and counted.
+    rollout costs started from the same sphere point.  The direction and the
+    start come from the direction's own seeded substream, and all ``2 N``
+    rollouts are stepped as one batch.  Direction pairs with a diverged
+    member are dropped and counted.
     """
     K = np.asarray(K, dtype=float)
     d_k = K.size
@@ -351,48 +261,3 @@ def eps_grad_zeroth_order(
         rollouts_used=used,
         dropped=n - used,
     )
-
-
-def query_record(
-    kind: str,
-    K: np.ndarray,
-    gamma: float,
-    cfg: OracleConfig,
-    query_index: int,
-    result: QueryResult,
-) -> dict:
-    """JSON-ready transcript entry for a query, keyed by an inputs hash."""
-    K = np.asarray(K, dtype=float)
-    key = hashlib.sha256()
-    key.update(kind.encode())
-    key.update(K.tobytes())
-    key.update(
-        json.dumps(
-            [gamma, cfg.seed, query_index, cfg.n_rollouts, cfg.horizon, cfg.radius,
-             cfg.cap if np.isfinite(cfg.cap) else None],
-            sort_keys=True,
-        ).encode()
-    )
-    stderr = result.stderr
-    return {
-        "inputs_hash": key.hexdigest()[:16],
-        "kind": kind,
-        "gamma": gamma,
-        "query_index": query_index,
-        "value": result.value,
-        "stderr": float(np.max(stderr)) if np.ndim(stderr) else float(stderr),
-        "capped": result.capped,
-        "rollouts_used": result.rollouts_used,
-        "dropped": result.dropped,
-    }
-
-
-def append_query_record(path, record: dict) -> None:
-    """Append one transcript entry to a JSON-lines run log."""
-    with open(path, "a") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-def with_overrides(cfg: OracleConfig, **kwargs) -> OracleConfig:
-    """Copy of the config with the given fields replaced."""
-    return replace(cfg, **kwargs)

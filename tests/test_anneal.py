@@ -25,11 +25,11 @@ from pgstab.anneal import (
     policy_gradient,
     random_search_gamma,
 )
-from pgstab.dynamics import linear_as_nonlinear
+from pgstab.dynamics import NonlinearSystem, linear_as_nonlinear
 from pgstab.lqr import lqr_cost, lqr_grad
 from pgstab.matops import UnstableError, solve_dare, spectral_radius
 from pgstab.model import CostSpec, LinearSystem
-from pgstab.oracles import OracleConfig
+from pgstab.oracles import DivergedAllError, OracleConfig
 
 SYS = LinearSystem(np.array([[1.1, 0.5], [0.0, 0.7]]), np.array([[0.0], [1.0]]))
 COST = CostSpec.identity(2, 1)
@@ -418,6 +418,27 @@ def test_anneal_budget_error_reports_iteration():
     with pytest.raises(BudgetExceededError) as excinfo:
         discount_anneal(nls, cfg=AnnealConfig(max_outer=1))
     assert excinfo.value.anneal_iteration == 1
+
+
+def test_anneal_tags_all_diverged_gradient_query_with_iteration():
+    # x' = 0.5 x + 10 x^3 + u: the linearization is stable, so annealing
+    # starts undamped at gamma = 1, but every rollout from radius 1 explodes
+    def step(x, u):
+        return 0.5 * x + 10.0 * x**3 + u
+
+    def step_jac(x, u):
+        return step(x, u), (0.5 + 30.0 * x**2)[:, :, None], np.ones((x.shape[0], 1, 1))
+
+    cubic = NonlinearSystem(d_x=1, d_u=1, step=step, step_jac=step_jac)
+    cfg = AnnealConfig(
+        oracle_mode="sampled",
+        oracle=OracleConfig(n_rollouts=8, horizon=50, radius=1.0, seed=0),
+        pg_steps=5,
+    )
+    with pytest.raises(InnerDivergedError) as excinfo:
+        discount_anneal(cubic, CostSpec.identity(1, 1), cfg)
+    assert excinfo.value.anneal_iteration == 0
+    assert isinstance(excinfo.value.__cause__, DivergedAllError)
 
 
 def test_anneal_manifest_resume_matches_uninterrupted_run(tmp_path):

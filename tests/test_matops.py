@@ -8,12 +8,12 @@ B=1, Q=R=1.
 
 import numpy as np
 import pytest
+from reference import dlyap_residual
 
 from pgstab.matops import (
     NotStabilizableError,
     UnstableError,
     dlyap,
-    dlyap_residual,
     solve_dare,
     spectral_radius,
 )
