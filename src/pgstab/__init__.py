@@ -2,18 +2,11 @@
 policy gradients, with exact Riccati/Lyapunov oracles for verification."""
 
 from .anneal import (
-    AdamOptimizer,
     AnnealConfig,
     AnnealState,
     BudgetExceededError,
     InnerDivergedError,
-    PgConfig,
-    PgObjective,
-    SearchBracket,
-    binary_search_gamma,
     discount_anneal,
-    policy_gradient,
-    random_search_gamma,
 )
 from .bench import (
     CartpoleBenchConfig,
@@ -62,7 +55,6 @@ from .oracles import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamOptimizer",
     "AnnealConfig",
     "AnnealState",
     "BudgetExceededError",
@@ -77,14 +69,10 @@ __all__ = [
     "NoWitnessFoundError",
     "NotStabilizableError",
     "OracleConfig",
-    "PgConfig",
-    "PgObjective",
     "QueryResult",
     "RoaConfig",
     "RoaReport",
-    "SearchBracket",
     "UnstableError",
-    "binary_search_gamma",
     "cartpole",
     "damp",
     "discount_anneal",
@@ -97,8 +85,6 @@ __all__ = [
     "linear_as_nonlinear",
     "lqr_cost",
     "lqr_grad",
-    "policy_gradient",
-    "random_search_gamma",
     "reward_shaping_counterexample",
     "run_cartpole",
     "run_counterexample",

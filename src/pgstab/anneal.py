@@ -47,28 +47,29 @@ class BudgetExceededError(RuntimeError):
 class AdamOptimizer:
     """Adam with bias correction; ``update`` returns the step to subtract."""
 
-    def __init__(
-        self,
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = 0.0
         self.v = 0.0
         self.t = 0
 
     def update(self, grad: np.ndarray) -> np.ndarray:
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad**2
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        return self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = self.BETA1 * self.m + (1.0 - self.BETA1) * grad
+        self.v = self.BETA2 * self.v + (1.0 - self.BETA2) * grad**2
+        m_hat = self.m / (1.0 - self.BETA1**self.t)
+        v_hat = self.v / (1.0 - self.BETA2**self.t)
+        return self.learning_rate * m_hat / (np.sqrt(v_hat) + self.EPS)
+
+
+# Fixed-step mode gives up after GUARD_WINDOW consecutive cost estimates that
+# are capped, not finite, or above GUARD_FACTOR times the first estimate.
+GUARD_WINDOW = 5
+GUARD_FACTOR = 10.0
 
 
 @dataclass
@@ -85,8 +86,6 @@ class PgConfig:
     learning_rate: float | None = None
     max_steps: int = 200
     target_gap: float | None = None
-    guard_window: int = 5
-    guard_factor: float = 10.0
 
     def __post_init__(self):
         if self.optimizer not in ("adam", "gd"):
@@ -101,7 +100,10 @@ class PgObjective:
 
     ``grad_fn(K) -> (gradient, cost estimate, capped)`` and
     ``eval_fn(K) -> (cost estimate, capped)``; estimates are finite floats
-    (infinite exact costs arrive as ``inf`` with ``capped=True``).
+    (infinite exact costs arrive as ``inf`` with ``capped=True``).  Gap mode
+    reads only the gradient from ``grad_fn`` and measures costs with
+    ``eval_fn``, so an exact objective returns ``nan`` as its cost estimate
+    there rather than solving for a value nobody reads.
     """
 
     grad_fn: Callable[[np.ndarray], tuple[np.ndarray, float, bool]]
@@ -188,14 +190,14 @@ def _pg_fixed_steps(objective: PgObjective, K0, cfg: PgConfig) -> PgResult:
                 raise ValueError("objective is not finite at the initial gain")
             j_ref = value
         costs.append(value)
-        bad = capped or not np.isfinite(value) or value > cfg.guard_factor * j_ref
+        bad = capped or not np.isfinite(value) or value > GUARD_FACTOR * j_ref
         if bad:
             bad_streak += 1
-            if bad_streak >= cfg.guard_window:
+            if bad_streak >= GUARD_WINDOW:
                 raise InnerDivergedError(
                     f"cost estimate stayed capped or above "
-                    f"{cfg.guard_factor:g}x the initial cost for "
-                    f"{cfg.guard_window} consecutive steps"
+                    f"{GUARD_FACTOR:g}x the initial cost for "
+                    f"{GUARD_WINDOW} consecutive steps"
                 )
         else:
             bad_streak = 0
@@ -302,11 +304,11 @@ class AnnealConfig:
     ``oracle_mode="exact"`` solves the inner problems against the Riccati /
     Lyapunov solvers on the (declared or linearized) system matrices;
     ``"sampled"`` uses Monte-Carlo queries through the simulator and needs
-    ``oracle`` set.
+    ``oracle`` set.  The starting discount, the search method, its tolerance
+    and its query budget are derived, not configured (see ``discount_anneal``).
     """
 
     oracle_mode: str = "exact"  # "exact" | "sampled"
-    gamma0: float | None = None
     seed: int = 0
     c1: float = 2.5
     c2: float = 8.0
@@ -315,22 +317,14 @@ class AnnealConfig:
     learning_rate: float | None = None
     exact_max_steps: int = 100_000
     oracle: oracles.OracleConfig | None = None
-    search: str = "auto"  # "auto" | "binary" | "random"
-    search_max_iters: int = 500
-    search_budget: int | None = None
-    eval_tolerance: float | None = None
     max_outer: int = 200
     out_dir: str | None = None
 
     def __post_init__(self):
         if self.oracle_mode not in ("exact", "sampled"):
             raise ValueError(f"unknown oracle_mode {self.oracle_mode!r}")
-        if self.search not in ("auto", "binary", "random"):
-            raise ValueError(f"unknown search {self.search!r}")
         if not (1.0 < self.c1 < self.c2):
             raise ValueError("need 1 < c1 < c2")
-        if self.gamma0 is not None and not (0.0 < self.gamma0 <= 1.0):
-            raise ValueError("gamma0 must lie in (0, 1]")
         if self.oracle_mode == "sampled" and self.oracle is None:
             raise ValueError("sampled mode needs an OracleConfig")
 
@@ -376,34 +370,13 @@ class AnnealState:
         ]
 
     def to_dict(self) -> dict:
-        return {
-            "gamma0": self.gamma0,
-            "gamma": self.gamma,
-            "iteration": self.iteration,
-            "gain": np.asarray(self.gain).tolist(),
-            "history": [asdict(r) for r in self.history],
-            "query_counter": self.query_counter,
-            "eval_queries": self.eval_queries,
-            "grad_queries": self.grad_queries,
-            "done": self.done,
-            "final_spectral_radius": self.final_spectral_radius,
-        }
+        return {**asdict(self), "gain": np.asarray(self.gain).tolist()}
 
     @staticmethod
     def from_dict(d: dict) -> "AnnealState":
-        state = AnnealState(
-            gamma0=d["gamma0"],
-            gamma=d["gamma"],
-            iteration=d["iteration"],
-            gain=np.array(d["gain"], dtype=float),
-            history=[IterationRecord(**r) for r in d["history"]],
-            query_counter=d["query_counter"],
-            eval_queries=d["eval_queries"],
-            grad_queries=d["grad_queries"],
-            done=d["done"],
-            final_spectral_radius=d["final_spectral_radius"],
-        )
-        return state
+        history = [IterationRecord(**r) for r in d["history"]]
+        gain = np.array(d["gain"], dtype=float)
+        return AnnealState(**{**d, "gain": gain, "history": history})
 
 
 def config_hash(cfg: AnnealConfig) -> str:
@@ -422,18 +395,17 @@ def config_hash(cfg: AnnealConfig) -> str:
 class _ExactOracle:
     """Cost/gradient queries answered by the exact solvers on (A, B)."""
 
+    query_counter = 0  # exact queries draw no noise substreams
+
     def __init__(self, sys: LinearSystem, cost: CostSpec):
         self.sys = sys
         self.cost = cost
         self.eval_queries = 0
         self.grad_queries = 0
-        self._optima: dict[float, float] = {}
 
     def optimum(self, gamma: float) -> float:
-        if gamma not in self._optima:
-            p_star, _ = solve_dare(self.sys, self.cost, gamma)
-            self._optima[gamma] = float(np.trace(p_star))
-        return self._optima[gamma]
+        p_star, _ = solve_dare(self.sys, self.cost, gamma)
+        return float(np.trace(p_star))
 
     def evaluate(self, K, gamma: float, cap: float = np.inf) -> tuple[float, bool]:
         self.eval_queries += 1
@@ -445,8 +417,7 @@ class _ExactOracle:
 
     def gradient(self, K, gamma: float) -> tuple[np.ndarray, float, bool]:
         self.grad_queries += 1
-        j = lqr_cost(self.sys, self.cost, K, gamma)
-        return lqr_grad(self.sys, self.cost, K, gamma), j, False
+        return lqr_grad(self.sys, self.cost, K, gamma), np.nan, False
 
 
 class _SampledOracle:
@@ -536,10 +507,14 @@ def discount_anneal(
 
     Each outer iteration solves the damped problem at the current discount by
     policy gradients, then searches [gamma_t, 1] for a discount at which the
-    measured cost of the new gain has grown into the configured bracket
-    (declared-linear systems use bisection, everything else random search).
+    measured cost of the new gain has grown into the configured bracket.
     Once gamma reaches 1 a final policy-gradient solve runs undamped and the
     resulting gain is returned together with the run state.
+
+    gamma_0 is ``min(1, 0.9 / ||A||^2)`` on the declared or linearized ``A``.
+    Declared-linear systems are searched by bisection with evaluation
+    tolerance ``0.1 d_x`` and ``3 (ceil(4 ln max(e, c2 J)) + 10)`` queries for
+    a gain of cost J, others by seeded random search with ``0.01 d_x``.
 
     For declared-linear systems the returned gain is certified:
     ``spectral_radius(A + B K) < 1`` or ``UnstableError`` is raised.
@@ -553,19 +528,9 @@ def discount_anneal(
             "annealing requires Q and R with smallest eigenvalue at least 1"
         )
 
-    lin = sys.linear if sys.linear is not None else jacobian_linearization(sys)
-    if cfg.gamma0 is not None:
-        gamma0 = cfg.gamma0
-    else:
-        gamma0 = min(1.0, 0.9 / np.linalg.norm(lin.A, 2) ** 2)
-
-    use_binary = (
-        cfg.search == "binary"
-        or (cfg.search == "auto" and sys.linear is not None)
-    )
-    eps = cfg.eval_tolerance
-    if eps is None:
-        eps = (0.1 if sys.linear is not None else 0.01) * d_x
+    declared_linear = sys.linear is not None
+    lin = sys.linear if declared_linear else jacobian_linearization(sys)
+    eps = (0.1 if declared_linear else 0.01) * d_x
 
     if resume_from is not None:
         manifest = load_manifest(resume_from)
@@ -575,14 +540,27 @@ def discount_anneal(
             )
         state = AnnealState.from_dict(manifest["state"])
     else:
+        gamma0 = min(1.0, 0.9 / np.linalg.norm(lin.A, 2) ** 2)
         state = AnnealState(
             gamma0=gamma0, gamma=gamma0, iteration=0, gain=np.zeros((d_u, d_x))
         )
 
-    if cfg.oracle_mode == "exact":
+    exact = cfg.oracle_mode == "exact"
+    if exact:
         oracle = _ExactOracle(lin, cost)
+        pg_cfg = PgConfig(
+            optimizer="gd",
+            learning_rate=cfg.learning_rate,
+            max_steps=cfg.exact_max_steps,
+            target_gap=float(d_x),
+        )
     else:
         oracle = _SampledOracle(sys, cost, cfg.oracle, state.query_counter)
+        pg_cfg = PgConfig(
+            optimizer=cfg.pg_optimizer,
+            learning_rate=cfg.learning_rate or 0.01 / cfg.oracle.radius,
+            max_steps=cfg.pg_steps,
+        )
 
     out_dir = Path(cfg.out_dir) if cfg.out_dir is not None else None
     K = np.asarray(state.gain, dtype=float)
@@ -594,91 +572,81 @@ def discount_anneal(
             )
         gamma = state.gamma
         final = gamma >= 1.0 - 1e-12
+        gamma_next = None
+        transcript: list[dict] = []
         try:
-            objective, pg_cfg = _build_inner_problem(oracle, cfg, gamma, d_x)
+            objective = PgObjective(
+                grad_fn=lambda K: oracle.gradient(K, gamma),
+                eval_fn=lambda K: oracle.evaluate(K, gamma),
+                optimal_cost=oracle.optimum(gamma) if exact else None,
+            )
             pg = policy_gradient(objective, K, pg_cfg)
             K = pg.gain
-            if final:
-                record = IterationRecord(
-                    iteration=t,
-                    gamma=1.0,
-                    gamma_next=None,
-                    inner_steps=pg.steps,
-                    cost_start=pg.costs[0] if pg.costs else np.nan,
-                    cost_end=pg.costs[-1] if pg.costs else np.nan,
-                    cost_next_gamma=None,
-                    optimal_cost=objective.optimal_cost,
-                    search_queries=0,
-                    search_transcript=[],
-                    gain=K.tolist(),
+            j_hat = pg.costs[-1]
+            if not final:
+                j_hat, j_capped = oracle.evaluate(K, gamma)
+                if j_capped or not np.isfinite(j_hat):
+                    raise InnerDivergedError(
+                        f"cost estimate at gamma={gamma:g} is not finite after the inner solve"
+                    )
+                depth = math.ceil(4.0 * math.log(max(math.e, cfg.c2 * j_hat)))
+                bracket = SearchBracket(
+                    f1_bar=(cfg.c1 + 0.25) * j_hat,
+                    f2_bar=(cfg.c2 - 0.75) * j_hat,
+                    eps=eps,
+                    budget=3 * (depth + 10),
                 )
-                state.history.append(record)
-                state.gain = K
-                state.iteration = t + 1
-                state.done = True
-                _sync_counters(state, oracle)
-                break
+                cap = cfg.c2 * j_hat + 2.0 * eps
 
-            j_hat, j_capped = oracle.evaluate(K, gamma, cap=np.inf)
-            if j_capped or not np.isfinite(j_hat):
-                raise InnerDivergedError(
-                    f"cost estimate at gamma={gamma:g} is not finite after the inner solve"
-                )
-            bracket = SearchBracket(
-                f1_bar=(cfg.c1 + 0.25) * j_hat,
-                f2_bar=(cfg.c2 - 0.75) * j_hat,
-                eps=eps,
-                budget=cfg.search_budget
-                or 3 * (math.ceil(4.0 * math.log(max(math.e, cfg.c2 * j_hat))) + 10),
-            )
-            cap = cfg.c2 * j_hat + 2.0 * eps
-            transcript: list[dict] = []
+                def evaluator(g: float) -> float:
+                    value, capped = oracle.evaluate(K, g, cap=cap)
+                    transcript.append(
+                        {"gamma": g, "value": value, "capped": bool(capped)}
+                    )
+                    return value
 
-            def evaluator(g: float) -> float:
-                value, capped = oracle.evaluate(K, g, cap=cap)
-                transcript.append(
-                    {"gamma": g, "value": value, "capped": bool(capped)}
-                )
-                return value
-
-            if use_binary:
-                gamma_next = binary_search_gamma(evaluator, gamma, bracket)
-            else:
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(cfg.seed, spawn_key=(0x5EA2C, t))
-                )
-                gamma_next = random_search_gamma(
-                    evaluator, gamma, bracket, rng, max_iters=cfg.search_max_iters
-                )
-            if gamma_next > 1.0 - 1e-12:
-                gamma_next = 1.0
+                if declared_linear:
+                    gamma_next = binary_search_gamma(evaluator, gamma, bracket)
+                else:
+                    rng = np.random.default_rng(
+                        np.random.SeedSequence(cfg.seed, spawn_key=(0x5EA2C, t))
+                    )
+                    gamma_next = random_search_gamma(evaluator, gamma, bracket, rng)
+                if gamma_next > 1.0 - 1e-12:
+                    gamma_next = 1.0
         except (InnerDivergedError, BudgetExceededError) as exc:
             exc.anneal_iteration = t
             raise
         except oracles.DivergedAllError as exc:
             raise InnerDivergedError(str(exc), iteration=t) from exc
-        record = IterationRecord(
-            iteration=t,
-            gamma=gamma,
-            gamma_next=gamma_next,
-            inner_steps=pg.steps,
-            cost_start=pg.costs[0] if pg.costs else np.nan,
-            cost_end=j_hat,
-            cost_next_gamma=transcript[-1]["value"] if transcript else None,
-            optimal_cost=objective.optimal_cost,
-            search_queries=len(transcript),
-            search_transcript=transcript,
-            gain=K.tolist(),
+        state.history.append(
+            IterationRecord(
+                iteration=t,
+                gamma=1.0 if final else gamma,
+                gamma_next=gamma_next,
+                inner_steps=pg.steps,
+                cost_start=pg.costs[0],
+                cost_end=j_hat,
+                cost_next_gamma=transcript[-1]["value"] if transcript else None,
+                optimal_cost=objective.optimal_cost,
+                search_queries=len(transcript),
+                search_transcript=transcript,
+                gain=K.tolist(),
+            )
         )
-        state.history.append(record)
         state.gain = K
-        state.gamma = gamma_next
         state.iteration = t + 1
-        _sync_counters(state, oracle)
+        state.eval_queries = oracle.eval_queries
+        state.grad_queries = oracle.grad_queries
+        state.query_counter = oracle.query_counter
+        if final:
+            state.done = True
+            break
+        state.gamma = gamma_next
         if out_dir is not None:
             _write_manifest(cfg, state, out_dir)
 
-    if sys.linear is not None:
+    if declared_linear:
         rho = spectral_radius(lin.closed_loop(K))
         state.final_spectral_radius = rho
         if rho >= 1.0:
@@ -688,38 +656,3 @@ def discount_anneal(
     if out_dir is not None:
         _write_manifest(cfg, state, out_dir)
     return K, state
-
-
-def _sync_counters(state: AnnealState, oracle) -> None:
-    state.eval_queries = oracle.eval_queries
-    state.grad_queries = oracle.grad_queries
-    state.query_counter = getattr(oracle, "query_counter", 0)
-
-
-def _build_inner_problem(
-    oracle, cfg: AnnealConfig, gamma: float, d_x: int
-) -> tuple[PgObjective, PgConfig]:
-    if cfg.oracle_mode == "exact":
-        objective = PgObjective(
-            grad_fn=lambda K: oracle.gradient(K, gamma),
-            eval_fn=lambda K: oracle.evaluate(K, gamma),
-            optimal_cost=oracle.optimum(gamma),
-        )
-        pg_cfg = PgConfig(
-            optimizer="gd",
-            learning_rate=cfg.learning_rate,
-            max_steps=cfg.exact_max_steps,
-            target_gap=float(d_x),
-        )
-    else:
-        objective = PgObjective(
-            grad_fn=lambda K: oracle.gradient(K, gamma),
-            eval_fn=lambda K: oracle.evaluate(K, gamma),
-        )
-        pg_cfg = PgConfig(
-            optimizer=cfg.pg_optimizer,
-            learning_rate=cfg.learning_rate or 0.01 / cfg.oracle.radius,
-            max_steps=cfg.pg_steps,
-            target_gap=None,
-        )
-    return objective, pg_cfg

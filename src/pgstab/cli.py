@@ -1,11 +1,13 @@
 """Command-line entry points for the benchmarks and reports.
 
 Every subcommand accepts ``--config`` (a JSON file whose top-level keys
-override the defaults of that subcommand's config), plus ``--seed``,
-``--out``, ``--oracle`` and ``--estimator`` as quick overrides.  On success
-the exit code is 0 and a JSON summary goes to stdout; on failure the exit
-code is nonzero and a machine-readable error record goes to stderr.  Config
-keys the subcommand does not accept are refused with exit code 2.
+override the defaults of that subcommand's config) and ``--out``.  Quick
+overrides are registered only where they are read: ``--seed`` on every
+subcommand but ``counterexample``, ``--estimator`` on ``anneal-linear`` and
+``anneal-cartpole``, and ``--oracle`` on ``anneal-linear``.  On success the
+exit code is 0 and a JSON summary goes to stdout; on failure the exit code
+is nonzero and a machine-readable error record goes to stderr.  Config keys
+or flags the subcommand does not accept are refused with exit code 2.
 """
 
 from __future__ import annotations
@@ -118,8 +120,6 @@ def _cmd_anneal_cartpole(args, cfg: dict) -> dict:
         kwargs["out_dir"] = args.out
     if args.estimator is not None:
         kwargs["estimator"] = args.estimator
-    if args.oracle == "exact":
-        raise ValueError("the cart-pole benchmark is simulator-only (use --oracle sampled)")
     result = run_cartpole(CartpoleBenchConfig(**kwargs))
     return {"table": result["table"], "out_dir": kwargs.get("out_dir")}
 
@@ -169,6 +169,23 @@ _COMMANDS = {
     "baseline-lqr": _cmd_baseline_lqr,
 }
 
+_FLAGS = {
+    "--seed": dict(type=int, help="master seed override"),
+    "--oracle": dict(choices=("exact", "sampled"), help="oracle mode"),
+    "--estimator": dict(
+        choices=("sensitivity", "zeroth"),
+        help="gradient estimator for sampled oracles",
+    ),
+}
+# the quick-override flags each subcommand reads
+_COMMAND_FLAGS = {
+    "anneal-linear": ("--seed", "--oracle", "--estimator"),
+    "anneal-cartpole": ("--seed", "--estimator"),
+    "roa": ("--seed",),
+    "counterexample": (),
+    "baseline-lqr": ("--seed",),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -179,16 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument(
-            "--oracle", choices=("exact", "sampled"), default=None,
-            help="oracle mode for annealing commands",
-        )
-        p.add_argument(
-            "--estimator", choices=("sensitivity", "zeroth"), default=None,
-            help="gradient estimator for sampled oracles",
-        )
+        for flag in _COMMAND_FLAGS[name]:
+            p.add_argument(flag, default=None, **_FLAGS[flag])
     return parser
 
 

@@ -4,10 +4,12 @@ linear systems in both exact and sampled mode."""
 
 import json
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import pgstab.lqr
 from pgstab.anneal import (
     AdamOptimizer,
     AnnealConfig,
@@ -18,6 +20,7 @@ from pgstab.anneal import (
     PgConfig,
     PgObjective,
     SearchBracket,
+    _ExactOracle,
     binary_search_gamma,
     config_hash,
     discount_anneal,
@@ -310,13 +313,9 @@ def test_anneal_config_validation():
     with pytest.raises(ValueError):
         AnnealConfig(oracle_mode="analytic")
     with pytest.raises(ValueError):
-        AnnealConfig(search="grid")
-    with pytest.raises(ValueError):
         AnnealConfig(c1=8.0, c2=2.5)
     with pytest.raises(ValueError):
         AnnealConfig(c1=0.5)
-    with pytest.raises(ValueError):
-        AnnealConfig(gamma0=1.5)
     with pytest.raises(ValueError):
         AnnealConfig(oracle_mode="sampled")
 
@@ -397,8 +396,9 @@ def test_anneal_easy_system_goes_straight_to_undamped():
 
 
 def test_anneal_random_search_also_works_on_linear():
-    nls = linear_as_nonlinear(SYS)
-    gain, state = discount_anneal(nls, cfg=AnnealConfig(search="random"))
+    # without the declaration the system is searched as a simulator would be
+    nls = replace(linear_as_nonlinear(SYS), linear=None)
+    gain, state = discount_anneal(nls)
     assert state.done
     assert spectral_radius(SYS.closed_loop(gain)) < 1.0
     gammas = state.gammas
@@ -478,8 +478,15 @@ def test_anneal_writes_manifest_and_gains_on_success(tmp_path):
     out = tmp_path / "run"
     gain, state = discount_anneal(nls, cfg=AnnealConfig(out_dir=str(out)))
     manifest = load_manifest(out / "manifest.json")
-    assert manifest["state"]["done"]
+    assert manifest["state"]["done"] is True
     assert np.allclose(np.array(manifest["state"]["gain"]), gain)
+
+    saved = AnnealState.from_dict(manifest["state"])
+    for f in fields(AnnealState):
+        if f.name == "gain":
+            assert np.array_equal(saved.gain, state.gain)
+        else:
+            assert getattr(saved, f.name) == getattr(state, f.name), f.name
 
     rows = (out / "gains.csv").read_text().strip().splitlines()
     assert rows[0] == "iteration,gamma,k00,k01"
@@ -487,6 +494,25 @@ def test_anneal_writes_manifest_and_gains_on_success(tmp_path):
     last = rows[-1].split(",")
     assert float(last[1]) == 1.0
     assert np.allclose([float(v) for v in last[2:]], gain.reshape(-1))
+
+
+def test_exact_gradient_query_solves_two_lyapunov_equations(monkeypatch):
+    dlyap = pgstab.lqr.dlyap
+    solves = []
+
+    def counting_dlyap(*args, **kwargs):
+        solves.append(args)
+        return dlyap(*args, **kwargs)
+
+    K = np.array([[-0.2, -0.9]])
+    expected = lqr_grad(SYS, COST, K, 0.5)
+    monkeypatch.setattr(pgstab.lqr, "dlyap", counting_dlyap)
+    oracle = _ExactOracle(SYS, COST)
+    grad, value, capped = oracle.gradient(K, 0.5)
+    assert len(solves) == 2
+    assert np.array_equal(grad, expected)
+    assert math.isnan(value) and not capped
+    assert oracle.grad_queries == 1 and oracle.eval_queries == 0
 
 
 def test_anneal_sampled_mode_stabilizes_linear_system():

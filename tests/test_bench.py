@@ -16,7 +16,7 @@ from pgstab.bench import (
     sample_stabilizable_system,
     write_csv,
 )
-from pgstab.cli import main
+from pgstab.cli import build_parser, main
 from pgstab.dynamics import cartpole, linear_as_nonlinear
 from pgstab.matops import solve_dare, spectral_radius
 from pgstab.model import CostSpec, LinearSystem
@@ -194,11 +194,35 @@ def test_cli_anneal_linear_smoke(tmp_path, capsys):
     assert (tmp_path / "out" / "linear_suite.csv").exists()
 
 
-def test_cli_cartpole_rejects_exact_oracle(capsys):
-    rc = main(["anneal-cartpole", "--oracle", "exact"])
-    assert rc == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValueError"
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("anneal-cartpole", "--oracle", "exact"),
+        ("roa", "--oracle", "sampled"),
+        ("roa", "--estimator", "zeroth"),
+        ("counterexample", "--seed", "3"),
+        ("counterexample", "--oracle", "sampled"),
+        ("counterexample", "--estimator", "zeroth"),
+        ("baseline-lqr", "--oracle", "sampled"),
+        ("baseline-lqr", "--estimator", "zeroth"),
+    ],
+)
+def test_cli_refuses_flags_the_subcommand_does_not_read(command, flag, value):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, flag, value])
+    assert excinfo.value.code == 2
+
+
+def test_cli_parses_flags_where_they_are_read():
+    parser = build_parser()
+    args = parser.parse_args(
+        ["anneal-linear", "--seed", "3", "--oracle", "sampled", "--estimator", "zeroth"]
+    )
+    assert (args.seed, args.oracle, args.estimator) == (3, "sampled", "zeroth")
+    args = parser.parse_args(["anneal-cartpole", "--seed", "3", "--estimator", "zeroth"])
+    assert (args.seed, args.estimator) == (3, "zeroth")
+    for command in ("roa", "baseline-lqr"):
+        assert parser.parse_args([command, "--seed", "3"]).seed == 3
 
 
 @pytest.mark.parametrize(
