@@ -38,7 +38,6 @@ from .lqr import (
 from .matops import (
     NotStabilizableError,
     UnstableError,
-    dlyap,
     solve_dare,
     spectral_radius,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "cartpole",
     "damp",
     "discount_anneal",
-    "dlyap",
     "eps_eval",
     "eps_grad_sensitivity",
     "eps_grad_zeroth_order",

@@ -25,7 +25,7 @@ from . import oracles
 from .dynamics import NonlinearSystem, jacobian_linearization
 from .lqr import lqr_cost, lqr_grad
 from .matops import UnstableError, solve_dare, spectral_radius
-from .model import CostSpec, LinearSystem
+from .model import CostSpec, LinearSystem, check_gamma
 
 
 class InnerDivergedError(RuntimeError):
@@ -86,12 +86,6 @@ class PgConfig:
     learning_rate: float | None = None
     max_steps: int = 200
     target_gap: float | None = None
-
-    def __post_init__(self):
-        if self.optimizer not in ("adam", "gd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.max_steps < 0:
-            raise ValueError("max_steps must be nonnegative")
 
 
 @dataclass
@@ -244,8 +238,7 @@ def binary_search_gamma(
     down when the value overshoots ``f2_bar + eps`` and the lower end up when
     it undershoots ``f1_bar + eps``.
     """
-    if not (0.0 < gamma_t <= 1.0):
-        raise ValueError(f"gamma_t must lie in (0, 1], got {gamma_t}")
+    check_gamma(gamma_t)
     queries = 0
 
     def query(g: float) -> float:
@@ -283,8 +276,7 @@ def random_search_gamma(
 
     Uses the same gamma = 1 termination branch as the binary search.
     """
-    if not (0.0 < gamma_t <= 1.0):
-        raise ValueError(f"gamma_t must lie in (0, 1], got {gamma_t}")
+    check_gamma(gamma_t)
     if float(evaluator(1.0)) <= bracket.f2_bar + bracket.eps:
         return 1.0
     for _ in range(max_iters):
@@ -325,6 +317,12 @@ class AnnealConfig:
             raise ValueError(f"unknown oracle_mode {self.oracle_mode!r}")
         if not (1.0 < self.c1 < self.c2):
             raise ValueError("need 1 < c1 < c2")
+        if self.pg_optimizer not in ("adam", "gd"):
+            raise ValueError(f"unknown pg_optimizer {self.pg_optimizer!r}")
+        if self.pg_steps < 0 or self.exact_max_steps < 0:
+            raise ValueError("pg_steps and exact_max_steps must be nonnegative")
+        if self.learning_rate is not None and not self.learning_rate > 0:
+            raise ValueError("learning_rate must be positive")
         if self.oracle_mode == "sampled" and self.oracle is None:
             raise ValueError("sampled mode needs an OracleConfig")
 
@@ -353,7 +351,7 @@ class AnnealState:
     iteration: int
     gain: np.ndarray
     history: list[IterationRecord] = field(default_factory=list)
-    query_counter: int = 0
+    query_counter: int = 0  # eval_queries + grad_queries
     eval_queries: int = 0
     grad_queries: int = 0
     done: bool = False
@@ -395,13 +393,13 @@ def config_hash(cfg: AnnealConfig) -> str:
 class _ExactOracle:
     """Cost/gradient queries answered by the exact solvers on (A, B)."""
 
-    query_counter = 0  # exact queries draw no noise substreams
-
-    def __init__(self, sys: LinearSystem, cost: CostSpec):
+    def __init__(
+        self, sys: LinearSystem, cost: CostSpec, eval_queries=0, grad_queries=0
+    ):
         self.sys = sys
         self.cost = cost
-        self.eval_queries = 0
-        self.grad_queries = 0
+        self.eval_queries = eval_queries
+        self.grad_queries = grad_queries
 
     def optimum(self, gamma: float) -> float:
         p_star, _ = solve_dare(self.sys, self.cost, gamma)
@@ -421,38 +419,33 @@ class _ExactOracle:
 
 
 class _SampledOracle:
-    """Cost/gradient queries answered by seeded Monte-Carlo rollouts."""
+    """Cost/gradient queries answered by seeded Monte-Carlo rollouts; each
+    draws the noise substream numbered by the count of queries before it."""
 
     def __init__(
         self,
         sys: NonlinearSystem,
         cost: CostSpec,
         base: oracles.OracleConfig,
-        query_counter: int = 0,
+        eval_queries: int = 0,
+        grad_queries: int = 0,
     ):
         self.sys = sys
         self.cost = cost
         self.base = base
-        self.query_counter = query_counter
-        self.eval_queries = 0
-        self.grad_queries = 0
-
-    def _next_index(self) -> int:
-        idx = self.query_counter
-        self.query_counter += 1
-        return idx
+        self.eval_queries = eval_queries
+        self.grad_queries = grad_queries
 
     def evaluate(self, K, gamma: float, cap: float = np.inf) -> tuple[float, bool]:
+        idx = self.eval_queries + self.grad_queries
         self.eval_queries += 1
         cfg = replace(self.base, cap=cap)
-        res = oracles.eps_eval(
-            self.sys, K, gamma, cfg, self.cost, query_index=self._next_index()
-        )
+        res = oracles.eps_eval(self.sys, K, gamma, cfg, self.cost, query_index=idx)
         return res.value, res.capped
 
     def gradient(self, K, gamma: float) -> tuple[np.ndarray, float, bool]:
+        idx = self.eval_queries + self.grad_queries
         self.grad_queries += 1
-        idx = self._next_index()
         if self.base.estimator == "zeroth":
             res = oracles.eps_grad_zeroth_order(
                 self.sys, K, gamma, self.base, self.cost, query_index=idx
@@ -465,6 +458,11 @@ class _SampledOracle:
         return res.gradient, value, res.capped
 
 
+# Manifests are strict JSON: a non-finite float (``OracleConfig.cap`` is
+# inf by default) is written as the string "inf", "-inf" or "nan".
+_TOKENS = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}
+
+
 def _write_manifest(cfg: AnnealConfig, state: AnnealState, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -474,7 +472,8 @@ def _write_manifest(cfg: AnnealConfig, state: AnnealState, out_dir: Path) -> Non
         "state": state.to_dict(),
     }
     tmp = out_dir / "manifest.json.tmp"
-    tmp.write_text(json.dumps(manifest, indent=2, default=str))
+    manifest = json.loads(json.dumps(manifest, default=str), parse_constant=_TOKENS.get)
+    tmp.write_text(json.dumps(manifest, indent=2, allow_nan=False))
     tmp.replace(out_dir / "manifest.json")
     with open(out_dir / "gains.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -546,8 +545,9 @@ def discount_anneal(
         )
 
     exact = cfg.oracle_mode == "exact"
+    counts = (state.eval_queries, state.grad_queries)
     if exact:
-        oracle = _ExactOracle(lin, cost)
+        oracle = _ExactOracle(lin, cost, *counts)
         pg_cfg = PgConfig(
             optimizer="gd",
             learning_rate=cfg.learning_rate,
@@ -555,7 +555,7 @@ def discount_anneal(
             target_gap=float(d_x),
         )
     else:
-        oracle = _SampledOracle(sys, cost, cfg.oracle, state.query_counter)
+        oracle = _SampledOracle(sys, cost, cfg.oracle, *counts)
         pg_cfg = PgConfig(
             optimizer=cfg.pg_optimizer,
             learning_rate=cfg.learning_rate or 0.01 / cfg.oracle.radius,
@@ -638,7 +638,7 @@ def discount_anneal(
         state.iteration = t + 1
         state.eval_queries = oracle.eval_queries
         state.grad_queries = oracle.grad_queries
-        state.query_counter = oracle.query_counter
+        state.query_counter = oracle.eval_queries + oracle.grad_queries
         if final:
             state.done = True
             break

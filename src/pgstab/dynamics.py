@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import CostSpec, LinearSystem
+from .model import CostSpec, LinearSystem, check_gamma
 
 BLOWUP_FACTOR = 1e6  # ||x_t|| > BLOWUP_FACTOR * max(1, ||x0||) counts as divergence
 
@@ -255,8 +255,7 @@ def rollout_cost_batch(
     steps, or until it diverges or its cost exceeds ``rollout_cap``.  ``K``
     may also carry one gain per rollout (shape ``(N, d_u, d_x)``).
     """
-    if not (0.0 < gamma <= 1.0):
-        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
+    check_gamma(gamma)
     K = np.asarray(K, dtype=float)
     X = np.array(x0s, dtype=float)
     if X.ndim != 2 or X.shape[1] != sys.d_x:

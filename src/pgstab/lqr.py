@@ -16,17 +16,25 @@ from typing import NamedTuple
 import numpy as np
 
 from .matops import NotStabilizableError, dlyap, solve_dare, spectral_radius
-from .model import CostSpec, LinearSystem
+from .model import CostSpec, LinearSystem, check_gamma
 
 
 class NoWitnessFoundError(RuntimeError):
     """The counterexample search exhausted its grid without a witness."""
 
 
+def _closed_loop(
+    sys: LinearSystem, K: np.ndarray, gamma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The entry checks of gamma and the gain; returns the gain and A + B K."""
+    check_gamma(gamma)
+    K = np.asarray(K, dtype=float)
+    return K, sys.closed_loop(K)
+
+
 def damp(sys: LinearSystem, gamma: float) -> LinearSystem:
     """The damped system (sqrt(gamma) A, sqrt(gamma) B)."""
-    if not (0.0 < gamma <= 1.0):
-        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
+    check_gamma(gamma)
     sq = np.sqrt(gamma)
     return LinearSystem(sq * sys.A, sq * sys.B)
 
@@ -38,11 +46,8 @@ def value_matrix(
 
     Raises ``UnstableError`` when ``sqrt(gamma) (A+BK)`` is not Schur-stable.
     """
-    if not (0.0 < gamma <= 1.0):
-        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
-    K = np.asarray(K, dtype=float)
-    a_cl = np.sqrt(gamma) * sys.closed_loop(K)
-    return dlyap(a_cl, cost.Q + K.T @ cost.R @ K)
+    K, a_cl = _closed_loop(sys, K, gamma)
+    return dlyap(np.sqrt(gamma) * a_cl, cost.Q + K.T @ cost.R @ K)
 
 
 def lqr_cost(
@@ -56,11 +61,8 @@ def state_covariance(
     sys: LinearSystem, K: np.ndarray, gamma: float = 1.0
 ) -> np.ndarray:
     """Discounted state covariance Sigma_K = sum_t gamma^t A_cl^t (A_cl^t)'."""
-    if not (0.0 < gamma <= 1.0):
-        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
-    K = np.asarray(K, dtype=float)
-    a_cl = np.sqrt(gamma) * sys.closed_loop(K)
-    return dlyap(a_cl.T, np.eye(sys.d_x))
+    _, a_cl = _closed_loop(sys, K, gamma)
+    return dlyap((np.sqrt(gamma) * a_cl).T, np.eye(sys.d_x))
 
 
 def lqr_grad(
@@ -72,10 +74,10 @@ def lqr_grad(
     matrix and Sigma_K the discounted state covariance.  Vanishes at the
     optimal gain.
     """
-    K = np.asarray(K, dtype=float)
-    P = value_matrix(sys, cost, K, gamma)
-    sigma = state_covariance(sys, K, gamma)
-    a_cl = sys.closed_loop(K)
+    K, a_cl = _closed_loop(sys, K, gamma)
+    damped = np.sqrt(gamma) * a_cl
+    P = dlyap(damped, cost.Q + K.T @ cost.R @ K)
+    sigma = dlyap(damped.T, np.eye(sys.d_x))
     return 2.0 * (cost.R @ K + gamma * sys.B.T @ P @ a_cl) @ sigma
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import CostSpec, LinearSystem, as_matrix
+from .model import CostSpec, LinearSystem, as_matrix, check_gamma
 
 
 class UnstableError(RuntimeError):
@@ -28,19 +28,17 @@ def spectral_radius(m) -> float:
     return float(np.abs(np.linalg.eigvals(m)).max())
 
 
-def dlyap(
-    a_cl,
-    sigma,
-    *,
-    margin: float = 1e-9,
-    max_doublings: int = 200,
-) -> np.ndarray:
+def dlyap(a_cl: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Solve X = Sigma + A' X A for a Schur-stable A.
 
     Uses iterated doubling: with ``X_k = sum_{j < 2^k} (A')^j Sigma A^j`` and
     ``M_k = A^(2^k)``, one pass performs ``X <- X + M' X M`` and ``M <- M M``,
-    so the partial sum length doubles per iteration.  Requires
-    ``spectral_radius(a_cl) < 1 - margin``.
+    so the partial sum length doubles per iteration.
+
+    The inner kernel of the exact solvers: callers pass float arrays of one
+    shape with ``sigma`` symmetric.  It checks only that
+    ``spectral_radius(a_cl) < 1 - 1e-9`` (which also refuses a matrix that is
+    not square or not finite) and that the sum stays finite.
 
     Parameters
     ----------
@@ -48,37 +46,28 @@ def dlyap(
         Transition matrix of the series (typically a damped closed loop).
     sigma : array, shape (d, d)
         Symmetric PSD driving term.
-    margin : float
-        Stability margin; closed loops within ``margin`` of the unit circle
-        are rejected as unstable.
 
     Returns
     -------
     X : array, shape (d, d)
         Symmetric PSD solution.
     """
-    a_cl = as_matrix(a_cl, "a_cl")
-    sigma = as_matrix(sigma, "sigma")
-    if a_cl.shape != sigma.shape or a_cl.shape[0] != a_cl.shape[1]:
-        raise ValueError(f"shape mismatch: a_cl {a_cl.shape}, sigma {sigma.shape}")
-    if not np.allclose(sigma, sigma.T, rtol=1e-8, atol=1e-10):
-        raise ValueError("sigma must be symmetric")
     rho = spectral_radius(a_cl)
-    if rho >= 1.0 - margin:
+    if rho >= 1.0 - 1e-9:
         raise UnstableError(
-            f"spectral radius {rho:.6g} is not below 1 - {margin:g}; "
+            f"spectral radius {rho:.6g} is not below 1 - 1e-9; "
             "the Lyapunov series diverges"
         )
 
     x = (sigma + sigma.T) / 2.0
-    m = a_cl.copy()
-    for _ in range(max_doublings):
+    m = a_cl
+    for _ in range(200):
         if np.linalg.norm(m, "fro") <= 1e-14:
             break
         x = x + m.T @ x @ m
         m = m @ m
-        if not np.all(np.isfinite(x)):
-            raise UnstableError("Lyapunov doubling overflowed; matrix too close to instability")
+    if not np.isfinite(x).all():
+        raise UnstableError("Lyapunov doubling overflowed; matrix too close to instability")
     return (x + x.T) / 2.0
 
 
@@ -92,20 +81,20 @@ def _riccati_update(
     return (new_p + new_p.T) / 2.0
 
 
+# solve_dare's value-iteration limits (see its docstring)
+DARE_MAX_ITER = 1_000_000
+DARE_REL_TOL = 1e-12
+DARE_DIVERGENCE_BOUND = 1e12
+
+
 def solve_dare(
-    sys: LinearSystem,
-    cost: CostSpec,
-    gamma: float = 1.0,
-    *,
-    max_iter: int = 1_000_000,
-    rel_tol: float = 1e-12,
-    divergence_bound: float = 1e12,
+    sys: LinearSystem, cost: CostSpec, gamma: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Optimal value matrix and gain of the gamma-discounted LQR problem.
 
     Runs value iteration ``P <- Q + Ad'PAd - Ad'PBd (R + Bd'PBd)^-1 Bd'PAd``
     on the damped matrices ``Ad = sqrt(gamma) A``, ``Bd = sqrt(gamma) B``
-    until the relative change drops below ``rel_tol``, then polishes the
+    until the relative change drops below ``DARE_REL_TOL``, then polishes the
     fixed point with a few policy-evaluation steps so the returned pair is
     self-consistent to machine precision.
 
@@ -117,11 +106,10 @@ def solve_dare(
     Raises
     ------
     NotStabilizableError
-        If the iteration diverges past ``divergence_bound`` or fails to
-        converge within ``max_iter`` steps.
+        If the iteration diverges past ``DARE_DIVERGENCE_BOUND`` or fails
+        to converge within ``DARE_MAX_ITER`` steps.
     """
-    if not (0.0 < gamma <= 1.0):
-        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
+    check_gamma(gamma)
     A, B, Q, R = sys.A, sys.B, cost.Q, cost.R
     if cost.d_x != sys.d_x or cost.d_u != sys.d_u:
         raise ValueError("cost dimensions do not match the system")
@@ -130,21 +118,21 @@ def solve_dare(
 
     P = Q.copy()
     converged = False
-    for _ in range(max_iter):
+    for _ in range(DARE_MAX_ITER):
         new_p = _riccati_update(P, Ad, Bd, Q, R)
-        if not np.all(np.isfinite(new_p)) or np.trace(new_p) > divergence_bound:
+        if not np.all(np.isfinite(new_p)) or np.trace(new_p) > DARE_DIVERGENCE_BOUND:
             raise NotStabilizableError(
                 f"value iteration diverged at gamma={gamma:g}; "
                 "no stabilizing gain with finite discounted cost"
             )
         delta = np.linalg.norm(new_p - P, "fro")
         P = new_p
-        if delta <= rel_tol * max(np.linalg.norm(P, "fro"), 1.0):
+        if delta <= DARE_REL_TOL * max(np.linalg.norm(P, "fro"), 1.0):
             converged = True
             break
     if not converged:
         raise NotStabilizableError(
-            f"value iteration did not converge within {max_iter} steps at gamma={gamma:g}"
+            f"value iteration did not converge within {DARE_MAX_ITER} steps at gamma={gamma:g}"
         )
 
     # Policy-evaluation polish: alternate the greedy gain with an exact

@@ -23,6 +23,12 @@ def as_matrix(value, name: str) -> np.ndarray:
     return m
 
 
+def check_gamma(gamma: float) -> None:
+    """Refuse a discount outside (0, 1]."""
+    if not (0.0 < gamma <= 1.0):
+        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
+
+
 @dataclass(frozen=True)
 class LinearSystem:
     """Discrete-time linear dynamics ``x' = A x + B u``."""
@@ -51,8 +57,8 @@ class LinearSystem:
         return self.B.shape[1]
 
     def closed_loop(self, K: np.ndarray) -> np.ndarray:
-        """Closed-loop matrix ``A + B K`` for the gain ``K``."""
-        K = np.asarray(K, dtype=float)
+        """Closed-loop matrix ``A + B K`` for a finite gain ``K``."""
+        K = as_matrix(K, "gain")
         if K.shape != (self.d_u, self.d_x):
             raise ValueError(
                 f"gain must have shape {(self.d_u, self.d_x)}, got {K.shape}"

@@ -200,13 +200,6 @@ def test_fixed_steps_rejects_infinite_start():
         policy_gradient(objective, np.zeros((1, 2)), cfg)
 
 
-def test_pg_config_validation():
-    with pytest.raises(ValueError):
-        PgConfig(optimizer="sgd")
-    with pytest.raises(ValueError):
-        PgConfig(max_steps=-1)
-
-
 def test_search_bracket_validation():
     with pytest.raises(ValueError):
         SearchBracket(f1_bar=5.0, f2_bar=4.0, eps=0.1)
@@ -318,6 +311,20 @@ def test_anneal_config_validation():
         AnnealConfig(c1=0.5)
     with pytest.raises(ValueError):
         AnnealConfig(oracle_mode="sampled")
+
+
+def test_pg_config_validation():
+    # the inner-loop settings are refused by AnnealConfig, where they enter
+    with pytest.raises(ValueError):
+        AnnealConfig(pg_optimizer="sgd")
+    with pytest.raises(ValueError):
+        AnnealConfig(pg_steps=-1)
+    with pytest.raises(ValueError):
+        AnnealConfig(exact_max_steps=-1)
+    with pytest.raises(ValueError):
+        AnnealConfig(learning_rate=0.0)
+    with pytest.raises(ValueError):
+        AnnealConfig(learning_rate=-0.01)
 
 
 def test_config_hash_ignores_operational_fields():
@@ -441,25 +448,53 @@ def test_anneal_tags_all_diverged_gradient_query_with_iteration():
     assert isinstance(excinfo.value.__cause__, DivergedAllError)
 
 
-def test_anneal_manifest_resume_matches_uninterrupted_run(tmp_path):
+SAMPLED_50x100 = AnnealConfig(
+    oracle_mode="sampled",
+    oracle=OracleConfig(n_rollouts=50, horizon=100, radius=1.0, seed=0),
+    pg_steps=40,
+)
+
+
+@pytest.mark.parametrize(
+    "cfg", [AnnealConfig(), SAMPLED_50x100], ids=["exact", "sampled"]
+)
+def test_anneal_manifest_resume_matches_uninterrupted_run(tmp_path, cfg):
     nls = linear_as_nonlinear(SYS)
     out = tmp_path / "run"
     with pytest.raises(BudgetExceededError):
-        discount_anneal(nls, cfg=AnnealConfig(max_outer=1, out_dir=str(out)))
+        discount_anneal(nls, cfg=replace(cfg, max_outer=1, out_dir=str(out)))
 
     manifest = load_manifest(out / "manifest.json")
-    assert manifest["config_hash"] == config_hash(AnnealConfig())
+    assert manifest["config_hash"] == config_hash(cfg)
     saved = AnnealState.from_dict(manifest["state"])
     assert saved.iteration == 1
     assert not saved.done
 
     resumed_gain, resumed = discount_anneal(
-        nls, cfg=AnnealConfig(), resume_from=out / "manifest.json"
+        nls, cfg=cfg, resume_from=out / "manifest.json"
     )
-    fresh_gain, fresh = discount_anneal(nls)
+    fresh_gain, fresh = discount_anneal(nls, cfg=cfg)
     assert np.array_equal(resumed_gain, fresh_gain)
     assert resumed.gammas == fresh.gammas
     assert resumed.outer_iterations == fresh.outer_iterations
+    # the counts carry across the resume instead of restarting from zero
+    for name in ("eval_queries", "grad_queries", "query_counter"):
+        assert getattr(resumed, name) == getattr(fresh, name), name
+    assert resumed.query_counter == resumed.eval_queries + resumed.grad_queries
+
+
+def test_anneal_sampled_manifest_is_strict_json(tmp_path):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    out = tmp_path / "run"
+    discount_anneal(
+        linear_as_nonlinear(SYS), cfg=replace(SAMPLED_50x100, out_dir=str(out))
+    )
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=refuse)
+    assert manifest["config"]["oracle"]["cap"] == "inf"
+    # frozen from before manifests were strict, so those manifests still resume
+    assert manifest["config_hash"] == config_hash(SAMPLED_50x100) == "79968d05fbac4e92"
 
 
 def test_anneal_resume_refuses_other_config(tmp_path):

@@ -194,6 +194,16 @@ def test_cli_anneal_linear_smoke(tmp_path, capsys):
     assert (tmp_path / "out" / "linear_suite.csv").exists()
 
 
+def test_cli_refuses_invalid_loop_setting(tmp_path, capsys):
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps({"instances": 1, "pg_steps": -1}))
+    rc = main(["anneal-linear", "--oracle", "sampled", "--config", str(cfg_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "pg_steps" in err["message"]
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [

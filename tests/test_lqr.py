@@ -53,6 +53,26 @@ def test_value_matrix_rejects_unstable_loop():
         value_matrix(sys, CostSpec.identity(1, 1), np.array([[0.0]]))
 
 
+@pytest.mark.parametrize("entry", [lqr_cost, lqr_grad, value_matrix])
+def test_public_entries_refuse_bad_gain_and_gamma(entry):
+    sys = LinearSystem(np.array([[1.1, 0.5], [0.0, 0.7]]), np.array([[0.0], [1.0]]))
+    cost = CostSpec.identity(2, 1)
+    stabilizing = np.array([[-0.2, -0.9]])
+    entry(sys, cost, stabilizing, 0.5)
+    bad_gains = [
+        np.array([[np.nan, -0.9]]),
+        np.array([[-0.2, np.inf]]),
+        np.zeros((2, 2)),
+        np.zeros((1, 3)),
+    ]
+    for K in bad_gains:
+        with pytest.raises(ValueError):
+            entry(sys, cost, K, 0.5)
+    for gamma in (0.0, -0.5, 1.5, np.nan):
+        with pytest.raises(ValueError):
+            entry(sys, cost, stabilizing, gamma)
+
+
 def test_discount_damping_equivalence():
     # J(K | gamma, A, B) == J(K | 1, sqrt(gamma) A, sqrt(gamma) B)
     rng = np.random.default_rng(21)

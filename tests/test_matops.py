@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from reference import dlyap_residual
 
+from pgstab.bench import sample_stabilizable_system
 from pgstab.matops import (
     NotStabilizableError,
     UnstableError,
@@ -58,11 +59,56 @@ def test_dlyap_random_residuals():
         assert dlyap_residual(a, sigma, x) <= 1e-9 * max(1.0, np.linalg.norm(x))
 
 
+def test_dlyap_matches_scipy():
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        d = int(rng.integers(1, 6))
+        a = random_stable(rng, d)
+        w = rng.normal(size=(d, d))
+        q = w @ w.T + np.eye(d)
+        # scipy solves X = A X A' + Q, so it is handed A' for X = Q + A' X A
+        expected = linalg.solve_discrete_lyapunov(a.T, q)
+        x = dlyap(a, q)
+        assert np.linalg.norm(x - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
+def test_solve_dare_matches_scipy_at_several_discounts():
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        d = int(rng.integers(1, 6))
+        sys = sample_stabilizable_system(rng, d)
+        cost = CostSpec.identity(d, sys.d_u)
+        for gamma in (0.2, 0.6, 0.9, 1.0):
+            sq = np.sqrt(gamma)
+            p_ref = linalg.solve_discrete_are(sq * sys.A, sq * sys.B, cost.Q, cost.R)
+            k_ref = -np.linalg.solve(
+                cost.R + gamma * sys.B.T @ p_ref @ sys.B,
+                gamma * sys.B.T @ p_ref @ sys.A,
+            )
+            p, k = solve_dare(sys, cost, gamma)
+            assert np.linalg.norm(p - p_ref) <= 1e-8 * np.linalg.norm(p_ref)
+            assert np.linalg.norm(k - k_ref) <= 1e-7 * max(1.0, np.linalg.norm(k_ref))
+
+
 def test_dlyap_rejects_unstable():
     with pytest.raises(UnstableError):
         dlyap(np.array([[1.0]]), np.array([[1.0]]))
     with pytest.raises(UnstableError):
         dlyap(np.array([[1.5, 0.0], [0.0, 0.2]]), np.eye(2))
+
+
+def test_dlyap_refuses_what_its_one_test_covers():
+    # spectral_radius refuses a matrix that is not square or not finite
+    with pytest.raises(ValueError):
+        dlyap(np.ones((2, 3)), np.eye(2))
+    with pytest.raises(ValueError):
+        dlyap(np.array([[0.5, np.nan], [0.0, 0.5]]), np.eye(2))
+    # stable, but so far from normal that the doubled sum overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(UnstableError, match="overflowed"):
+            dlyap(np.array([[0.5, 1e200], [0.0, 0.5]]), np.eye(2))
 
 
 def scalar_dare_fixed_point():
