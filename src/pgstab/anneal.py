@@ -515,8 +515,10 @@ def discount_anneal(
     tolerance ``0.1 d_x`` and ``3 (ceil(4 ln max(e, c2 J)) + 10)`` queries for
     a gain of cost J, others by seeded random search with ``0.01 d_x``.
 
-    For declared-linear systems the returned gain is certified:
-    ``spectral_radius(A + B K) < 1`` or ``UnstableError`` is raised.
+    The returned gain is certified on the declared or linearized system:
+    ``spectral_radius(A + B K) < 1`` or ``UnstableError`` is raised.  For a
+    simulator-only system that is the local guarantee of the Jacobian
+    linearization at the origin.
     """
     cfg = cfg or AnnealConfig()
     d_x, d_u = sys.d_x, sys.d_u
@@ -646,13 +648,12 @@ def discount_anneal(
         if out_dir is not None:
             _write_manifest(cfg, state, out_dir)
 
-    if declared_linear:
-        rho = spectral_radius(lin.closed_loop(K))
-        state.final_spectral_radius = rho
-        if rho >= 1.0:
-            raise UnstableError(
-                f"annealing finished with an unstable closed loop (rho={rho:.6g})"
-            )
+    rho = spectral_radius(lin.closed_loop(K))
+    state.final_spectral_radius = rho
+    if rho >= 1.0:
+        raise UnstableError(
+            f"annealing finished with an unstable closed loop (rho={rho:.6g})"
+        )
     if out_dir is not None:
         _write_manifest(cfg, state, out_dir)
     return K, state

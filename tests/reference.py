@@ -1,8 +1,9 @@
 """Reference implementations that the tests check the package against.
 
 Each one is a plain, unbatched version of something the package computes in
-batched or closed form: a single damped rollout stepped one state at a time,
-a generic two-point gradient estimator driven by an arbitrary objective, and
+batched or closed form: the seeded draws of an oracle query made one spawned
+substream at a time, a single damped rollout stepped one state at a time, a
+generic two-point gradient estimator driven by an arbitrary objective, and
 the residual of a discrete Lyapunov solution.
 """
 
@@ -15,7 +16,39 @@ import numpy as np
 
 from pgstab.dynamics import BLOWUP_FACTOR, NonlinearSystem
 from pgstab.model import CostSpec
-from pgstab.oracles import DivergedAllError
+from pgstab.oracles import DivergedAllError, OracleConfig
+
+
+def sphere_sample(rng: np.random.Generator, d: int, radius: float) -> np.ndarray:
+    """One point uniform on the sphere of the given radius in R^d."""
+    z = rng.standard_normal(d)
+    return radius * z / np.linalg.norm(z)
+
+
+def _spawned_generators(cfg: OracleConfig, query_index: int):
+    root = np.random.SeedSequence(cfg.seed, spawn_key=(query_index,))
+    return [np.random.default_rng(child) for child in root.spawn(cfg.n_rollouts)]
+
+
+def initial_states_loop(cfg: OracleConfig, d_x: int, query_index: int) -> np.ndarray:
+    """``oracles.initial_states`` one rollout at a time: spawn the query's
+    children, build a generator from each, draw one sphere point."""
+    return np.array(
+        [sphere_sample(g, d_x, cfg.radius) for g in _spawned_generators(cfg, query_index)]
+    )
+
+
+def zeroth_order_draws_loop(
+    cfg: OracleConfig, k_shape: tuple, d_x: int, query_index: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The unit directions and sphere starts of ``oracles.eps_grad_zeroth_order``
+    one direction at a time: each child draws its direction, then its start."""
+    dirs, starts = [], []
+    for rng in _spawned_generators(cfg, query_index):
+        u = rng.standard_normal(k_shape)
+        dirs.append(u / np.linalg.norm(u))
+        starts.append(sphere_sample(rng, d_x, cfg.radius))
+    return np.array(dirs), np.array(starts)
 
 
 @dataclass

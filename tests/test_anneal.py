@@ -28,7 +28,7 @@ from pgstab.anneal import (
     policy_gradient,
     random_search_gamma,
 )
-from pgstab.dynamics import NonlinearSystem, linear_as_nonlinear
+from pgstab.dynamics import NonlinearSystem, jacobian_linearization, linear_as_nonlinear
 from pgstab.lqr import lqr_cost, lqr_grad
 from pgstab.matops import UnstableError, solve_dare, spectral_radius
 from pgstab.model import CostSpec, LinearSystem
@@ -411,6 +411,43 @@ def test_anneal_random_search_also_works_on_linear():
     gammas = state.gammas
     assert gammas[-1] == 1.0
     assert all(b > a for a, b in zip(gammas, gammas[1:]))
+
+
+def test_anneal_certifies_simulator_only_gain_on_its_linearization():
+    # x' = A x + B u + 0.1 x^3, known only through step and step_jac
+    def step(x, u):
+        return x @ SYS.A.T + u @ SYS.B.T + 0.1 * x**3
+
+    def step_jac(x, u):
+        gx = SYS.A + 0.3 * x[:, None, :] ** 2 * np.eye(2)
+        return step(x, u), gx, np.broadcast_to(SYS.B, (x.shape[0], 2, 1)).copy()
+
+    cubic = NonlinearSystem(d_x=2, d_u=1, step=step, step_jac=step_jac)
+    gain, state = discount_anneal(cubic)
+    rho = spectral_radius(jacobian_linearization(cubic).closed_loop(gain))
+    assert rho < 1.0
+    assert state.final_spectral_radius == rho
+
+
+def test_anneal_refuses_gain_unstable_on_linearization():
+    # x' = 1.5 x / (1 + 10 x^2): rollouts settle on the fixed points
+    # +-sqrt(0.05), so every sampled cost stays finite, but the origin is
+    # unstable and the input does not reach it
+    def step(x, u):
+        return 1.5 * x / (1.0 + 10.0 * x**2) + 0.0 * u
+
+    def step_jac(x, u):
+        gx = 1.5 * (1.0 - 10.0 * x**2) / (1.0 + 10.0 * x**2) ** 2
+        return step(x, u), gx[:, :, None], np.zeros((x.shape[0], 1, 1))
+
+    saturating = NonlinearSystem(d_x=1, d_u=1, step=step, step_jac=step_jac)
+    cfg = AnnealConfig(
+        oracle_mode="sampled",
+        oracle=OracleConfig(n_rollouts=20, horizon=50, seed=0),
+        pg_steps=5,
+    )
+    with pytest.raises(UnstableError, match="rho=1.5"):
+        discount_anneal(saturating, CostSpec.identity(1, 1), cfg)
 
 
 def test_anneal_requires_unit_cost_floor():

@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
-from reference import two_point_gradient
+from reference import (
+    initial_states_loop,
+    sphere_sample,
+    two_point_gradient,
+    zeroth_order_draws_loop,
+)
 
+from pgstab import oracles
 from pgstab.dynamics import NonlinearSystem, cartpole, linear_as_nonlinear, rollout_cost_batch
 from pgstab.lqr import lqr_cost, lqr_grad
 from pgstab.matops import spectral_radius
@@ -15,7 +21,6 @@ from pgstab.oracles import (
     eps_grad_sensitivity,
     eps_grad_zeroth_order,
     initial_states,
-    sphere_sample,
 )
 
 SYS = LinearSystem(np.array([[1.1, 0.3], [0.0, 0.9]]), np.array([[0.0], [1.0]]))
@@ -56,6 +61,68 @@ def test_initial_states_substream_contract():
         initial_states(cfg5, 3, query_index=5), x5
     )
     assert np.allclose(np.linalg.norm(x10, axis=1), cfg10.radius)
+
+
+def test_spawned_words_equal_numpy_children():
+    # the vectorized SeedSequence hash against numpy's own spawn: seeds of
+    # one and two uint32 words, one of five (more than the pool's four, so
+    # not padded), and a two-word query index
+    for seed in (0, 3, 2**32 + 1, 12345678901234567890, 2**130 + 7):
+        for q in (0, 5, 2**31, 2**40):
+            for n in (1, 7, 1000):
+                children = np.random.SeedSequence(seed, spawn_key=(q,)).spawn(n)
+                want = np.array([c.generate_state(4, np.uint64) for c in children])
+                got = oracles._spawned_words(
+                    np.random.SeedSequence(seed, spawn_key=(q,)), n
+                )
+                assert got.dtype == np.uint64
+                assert np.array_equal(got, want), (seed, q, n)
+
+
+@pytest.mark.parametrize("d_x", [1, 2, 4, 7])
+def test_initial_states_equal_per_child_loop(d_x):
+    for seed, q, n, radius in ((0, 0, 1, 1.0), (3, 4, 57, 0.1), (2**40 + 9, 2**33, 300, 2.5)):
+        cfg = OracleConfig(n_rollouts=n, seed=seed, radius=radius)
+        assert np.array_equal(
+            initial_states(cfg, d_x, q), initial_states_loop(cfg, d_x, q)
+        )
+
+
+@pytest.mark.parametrize("k_shape", [(1, 1), (1, 4), (2, 3)])
+def test_zeroth_order_draws_equal_per_child_loop(monkeypatch, k_shape):
+    # the gains and starts handed to the rollout batch are K +- r_s U and the
+    # sphere points of the reference loop, bit for bit
+    d_u, d_x = k_shape
+    sys = linear_as_nonlinear(
+        LinearSystem(0.5 * np.eye(d_x), np.ones((d_x, d_u)))
+    )
+    k = np.linspace(-0.2, 0.1, d_u * d_x).reshape(k_shape)
+    cfg = OracleConfig(
+        n_rollouts=33, horizon=3, radius=0.7, seed=12, smoothing_radius=1e-2,
+        estimator="zeroth",
+    )
+    seen = {}
+
+    def recording_batch(sys, gains, gamma, x0s, *args, **kwargs):
+        seen.update(gains=gains, x0s=x0s)
+        return rollout_cost_batch(sys, gains, gamma, x0s, *args, **kwargs)
+
+    monkeypatch.setattr(oracles, "rollout_cost_batch", recording_batch)
+    eps_grad_zeroth_order(sys, k, 0.9, cfg, CostSpec.identity(d_x, d_u), 6)
+    dirs, starts = zeroth_order_draws_loop(cfg, k_shape, d_x, 6)
+    r_s = cfg.smoothing_radius
+    assert np.array_equal(
+        seen["gains"], np.concatenate([k + r_s * dirs, k - r_s * dirs])
+    )
+    assert np.array_equal(seen["x0s"], np.vstack([starts, starts]))
+
+
+def test_negative_seed_is_refused():
+    cfg = OracleConfig(n_rollouts=3, seed=-1)
+    with pytest.raises(ValueError):
+        initial_states(cfg, 2, 0)
+    with pytest.raises(ValueError):
+        eps_grad_zeroth_order(linear_as_nonlinear(SYS), K_STAB, 0.9, cfg, COST2)
 
 
 def test_eps_eval_matches_analytic_cost():
