@@ -551,7 +551,6 @@ def discount_anneal(
     if exact:
         oracle = _ExactOracle(lin, cost, *counts)
         pg_cfg = PgConfig(
-            optimizer="gd",
             learning_rate=cfg.learning_rate,
             max_steps=cfg.exact_max_steps,
             target_gap=float(d_x),

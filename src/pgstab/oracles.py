@@ -6,18 +6,15 @@ stage costs scaled by ``d_x / r**2`` (so on linear systems the expectation
 is the discounted cost ``tr(P)`` truncated at horizon H, independent of r).
 
 Seeding contract: every query is pure given ``(cfg.seed, query_index)``.
-Rollout i inside a query draws from the i-th child of
-``SeedSequence(cfg.seed, spawn_key=(query_index,))``, so rollouts can be
-evaluated in any order (or in parallel) without changing the result, and
-distinct query indices give independent streams.  The seed words of all
-children are computed at once, by numpy's SeedSequence hash run as uint32
-array arithmetic, and equal those of numpy's spawned children bit for bit;
-numpy still builds each rollout's ``Generator(PCG64)`` from them.
+A query draws all its normals, in one call, from one ``Generator`` seeded
+by ``SeedSequence(cfg.seed, spawn_key=(query_index,))``; rollout i's draws
+are row i of that stream.  Draws are sequential, so adding rollouts leaves
+the existing ones unchanged, and distinct query indices give independent
+streams.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,97 +76,11 @@ class QueryResult:
     dropped: int = 0
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
-_MASK = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-
-def _uint32_words(x) -> list[int]:
-    """SeedSequence's coercion of a nonnegative int, or a sequence of them,
-    to uint32 words, least significant first."""
-    if isinstance(x, (int, np.integer)):
-        x = int(x)
-        words = [x & _MASK]
-        while x := x >> 32:
-            words.append(x & _MASK)
-        return words
-    return [w for v in x for w in _uint32_words(v)]
-
-
-def _spawned_words(root: np.random.SeedSequence, n: int) -> np.ndarray:
-    """``root.spawn(n)[i].generate_state(4, np.uint64)`` for every i, as (n, 4).
-
-    The children's entropy differs only in its last word, the child index, so
-    the hash runs on Python ints up to that word and on uint32 arrays across
-    the n children from there; ``& _MASK`` keeps both in 32 bits.
-    """
-    run = _uint32_words(root.entropy)
-    run += [0] * (root.pool_size - len(run))  # spawned children pad the seed
-    entropy = run + _uint32_words(root.spawn_key) + [np.arange(n, dtype=np.uint32)]
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK
-        value = value * hash_const & _MASK
-        return value ^ value >> 16
-
-    def mix(x, y):
-        r = ((_MIX_L * x & _MASK) - (_MIX_R * y & _MASK)) & _MASK
-        return r ^ r >> 16
-
-    size = root.pool_size
-    pool = [hashmix(e) for e in entropy[:size]]
-    for src in range(size):
-        for dst in range(size):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for e in entropy[size:]:
-        for dst in range(size):
-            pool[dst] = mix(pool[dst], hashmix(e))
-
-    state = np.empty((n, 8), dtype=np.uint32)
-    hash_const = _INIT_B
-    for i in range(8):
-        value = pool[i % size] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK
-        value = value * hash_const & _MASK
-        state[:, i] = value ^ value >> 16
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-@functools.cache
-def _words_seed_type() -> type:
-    """A numpy ``ISeedSequence`` that hands PCG64 seed words computed ahead
-    of time.  Built on first use: subclassing it imports numpy.random, and
-    importing that along with pgstab, before anything needs it, raised the
-    peak RSS of benchmark runs by about 0.5 MiB (1%)."""
-
-    class Words(np.random.bit_generator.ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
-    return Words
-
-
-def _substream_normals(cfg: OracleConfig, query_index: int, d: int) -> np.ndarray:
-    """Row i: ``d`` standard normals from rollout i's substream of the query."""
+def _query_normals(cfg: OracleConfig, query_index: int, d: int) -> np.ndarray:
+    """Row i: rollout i's ``d`` standard normals, drawn in order from the
+    query's one seeded stream."""
     root = np.random.SeedSequence(cfg.seed, spawn_key=(query_index,))
-    words_seed = _words_seed_type()
-    gens = (
-        np.random.Generator(np.random.PCG64(words_seed(w)))
-        for w in _spawned_words(root, cfg.n_rollouts)
-    )
-    z = np.empty((cfg.n_rollouts, d))
-    for g, row in zip(gens, z):
-        g.standard_normal(out=row)
-    return z
+    return np.random.default_rng(root).standard_normal((cfg.n_rollouts, d))
 
 
 def _row_norms(z: np.ndarray) -> np.ndarray:
@@ -178,9 +89,9 @@ def _row_norms(z: np.ndarray) -> np.ndarray:
 
 
 def initial_states(cfg: OracleConfig, d_x: int, query_index: int) -> np.ndarray:
-    """The N seeded initial states of a query, one per rollout substream:
+    """The N seeded initial states of a query, one per row of its stream:
     uniform on the sphere of radius ``cfg.radius``."""
-    z = _substream_normals(cfg, query_index, d_x)
+    z = _query_normals(cfg, query_index, d_x)
     return cfg.radius * z / _row_norms(z)
 
 
@@ -301,11 +212,10 @@ def eps_grad_zeroth_order(
 
     Each of the ``cfg.n_rollouts`` directions perturbs K by
     ``cfg.smoothing_radius`` along a random unit direction and differences two
-    rollout costs started from the same sphere point.  The direction and the
-    start come from one draw of ``K.size + d_x`` normals on the direction's
-    own seeded substream, in that order, and all ``2 N`` rollouts are stepped
-    as one batch.  Direction pairs with a diverged member are dropped and
-    counted.
+    rollout costs started from the same sphere point.  Direction i and its
+    start are row i of the query's seeded stream, ``K.size + d_x`` normals in
+    that order, and all ``2 N`` rollouts are stepped as one batch.  Direction
+    pairs with a diverged member are dropped and counted.
     """
     K = np.asarray(K, dtype=float)
     d_k = K.size
@@ -314,7 +224,7 @@ def eps_grad_zeroth_order(
     scale = sys.d_x / cfg.radius**2
     rollout_cap = cfg.cap / scale if np.isfinite(cfg.cap) else np.inf
 
-    z = _substream_normals(cfg, query_index, d_k + sys.d_x)
+    z = _query_normals(cfg, query_index, d_k + sys.d_x)
     u, x = z[:, :d_k], z[:, d_k:]
     dirs = (u / _row_norms(u)).reshape((n,) + K.shape)
     x0s = cfg.radius * x / _row_norms(x)

@@ -1,8 +1,8 @@
 """Reference implementations that the tests check the package against.
 
 Each one is a plain, unbatched version of something the package computes in
-batched or closed form: the seeded draws of an oracle query made one spawned
-substream at a time, a single damped rollout stepped one state at a time, a
+batched or closed form: the seeded draws of an oracle query made one rollout
+at a time, a single damped rollout stepped one state at a time, a
 generic two-point gradient estimator driven by an arbitrary objective, and
 the residual of a discrete Lyapunov solution.
 """
@@ -25,16 +25,17 @@ def sphere_sample(rng: np.random.Generator, d: int, radius: float) -> np.ndarray
     return radius * z / np.linalg.norm(z)
 
 
-def _spawned_generators(cfg: OracleConfig, query_index: int):
-    root = np.random.SeedSequence(cfg.seed, spawn_key=(query_index,))
-    return [np.random.default_rng(child) for child in root.spawn(cfg.n_rollouts)]
+def _query_generator(seed: int, query_index: int) -> np.random.Generator:
+    """The one stream of a query, from which its rollouts draw in turn."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(query_index,)))
 
 
 def initial_states_loop(cfg: OracleConfig, d_x: int, query_index: int) -> np.ndarray:
-    """``oracles.initial_states`` one rollout at a time: spawn the query's
-    children, build a generator from each, draw one sphere point."""
+    """``oracles.initial_states`` one rollout at a time: each draws its sphere
+    point from the query's stream after the rollouts before it."""
+    rng = _query_generator(cfg.seed, query_index)
     return np.array(
-        [sphere_sample(g, d_x, cfg.radius) for g in _spawned_generators(cfg, query_index)]
+        [sphere_sample(rng, d_x, cfg.radius) for _ in range(cfg.n_rollouts)]
     )
 
 
@@ -42,9 +43,11 @@ def zeroth_order_draws_loop(
     cfg: OracleConfig, k_shape: tuple, d_x: int, query_index: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The unit directions and sphere starts of ``oracles.eps_grad_zeroth_order``
-    one direction at a time: each child draws its direction, then its start."""
+    one direction at a time: each draws its direction, then its start, from the
+    query's stream after the directions before it."""
+    rng = _query_generator(cfg.seed, query_index)
     dirs, starts = [], []
-    for rng in _spawned_generators(cfg, query_index):
+    for _ in range(cfg.n_rollouts):
         u = rng.standard_normal(k_shape)
         dirs.append(u / np.linalg.norm(u))
         starts.append(sphere_sample(rng, d_x, cfg.radius))
@@ -155,19 +158,19 @@ def two_point_gradient(
 
     For each direction U uniform on the unit Frobenius sphere the estimate is
     ``(d_K / (2 r_s)) * (f(K + r_s U) - f(K - r_s U)) * U`` with
-    ``d_K = K.size``; both evaluations see the same per-direction stream so
-    paired noise cancels.  ``evaluate`` may return NaN to drop a direction.
-    The pair midpoints ``(f_plus + f_minus) / 2`` double as a smoothed cost
-    estimate.
+    ``d_K = K.size``.  Directions and evaluations draw in turn from the
+    query's one stream, and both evaluations of a direction see the same
+    draws so paired noise cancels.  ``evaluate`` may return NaN to drop a
+    direction.  The pair midpoints ``(f_plus + f_minus) / 2`` double as a
+    smoothed cost estimate.
     """
     K = np.asarray(K, dtype=float)
     d_k = K.size
-    root = np.random.SeedSequence(seed, spawn_key=(query_index,))
+    rng = _query_generator(seed, query_index)
     estimates = []
     midpoints = []
     dropped = 0
-    for child in root.spawn(n_directions):
-        rng = np.random.default_rng(child)
+    for _ in range(n_directions):
         u = rng.standard_normal(K.shape)
         u /= np.linalg.norm(u)
         state = rng.bit_generator.state

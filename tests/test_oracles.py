@@ -63,24 +63,8 @@ def test_initial_states_substream_contract():
     assert np.allclose(np.linalg.norm(x10, axis=1), cfg10.radius)
 
 
-def test_spawned_words_equal_numpy_children():
-    # the vectorized SeedSequence hash against numpy's own spawn: seeds of
-    # one and two uint32 words, one of five (more than the pool's four, so
-    # not padded), and a two-word query index
-    for seed in (0, 3, 2**32 + 1, 12345678901234567890, 2**130 + 7):
-        for q in (0, 5, 2**31, 2**40):
-            for n in (1, 7, 1000):
-                children = np.random.SeedSequence(seed, spawn_key=(q,)).spawn(n)
-                want = np.array([c.generate_state(4, np.uint64) for c in children])
-                got = oracles._spawned_words(
-                    np.random.SeedSequence(seed, spawn_key=(q,)), n
-                )
-                assert got.dtype == np.uint64
-                assert np.array_equal(got, want), (seed, q, n)
-
-
 @pytest.mark.parametrize("d_x", [1, 2, 4, 7])
-def test_initial_states_equal_per_child_loop(d_x):
+def test_initial_states_equal_per_rollout_loop(d_x):
     for seed, q, n, radius in ((0, 0, 1, 1.0), (3, 4, 57, 0.1), (2**40 + 9, 2**33, 300, 2.5)):
         cfg = OracleConfig(n_rollouts=n, seed=seed, radius=radius)
         assert np.array_equal(
@@ -89,7 +73,7 @@ def test_initial_states_equal_per_child_loop(d_x):
 
 
 @pytest.mark.parametrize("k_shape", [(1, 1), (1, 4), (2, 3)])
-def test_zeroth_order_draws_equal_per_child_loop(monkeypatch, k_shape):
+def test_zeroth_order_draws_equal_per_rollout_loop(monkeypatch, k_shape):
     # the gains and starts handed to the rollout batch are K +- r_s U and the
     # sphere points of the reference loop, bit for bit
     d_u, d_x = k_shape
@@ -115,6 +99,26 @@ def test_zeroth_order_draws_equal_per_child_loop(monkeypatch, k_shape):
         seen["gains"], np.concatenate([k + r_s * dirs, k - r_s * dirs])
     )
     assert np.array_equal(seen["x0s"], np.vstack([starts, starts]))
+
+
+def test_zeroth_order_draws_are_prefix_stable(monkeypatch):
+    # adding directions must not change the gains and starts of existing ones:
+    # each half of a 5-direction query is the first 5 rows of that half of a
+    # 10-direction query at the same (seed, query_index)
+    sys = linear_as_nonlinear(SYS)
+    seen = {}
+
+    def recording_batch(sys, gains, gamma, x0s, *args, **kwargs):
+        seen[gains.shape[0] // 2] = (gains, x0s)
+        return rollout_cost_batch(sys, gains, gamma, x0s, *args, **kwargs)
+
+    monkeypatch.setattr(oracles, "rollout_cost_batch", recording_batch)
+    for n in (5, 10):
+        cfg = OracleConfig(n_rollouts=n, horizon=3, seed=7, estimator="zeroth")
+        eps_grad_zeroth_order(sys, K_STAB, 0.9, cfg, COST2, query_index=2)
+    for short, long in zip(seen[5], seen[10]):
+        assert np.array_equal(short[:5], long[:5])  # the + half
+        assert np.array_equal(short[5:], long[10:15])  # the - half
 
 
 def test_negative_seed_is_refused():
@@ -340,7 +344,7 @@ def test_zeroth_order_gradient_matches_analytic():
 
 def test_zeroth_order_matches_generic_two_point():
     # the batched estimator reproduces two_point_gradient driven by
-    # one-rollout evaluations on the same substreams
+    # one-rollout evaluations on the same stream
     sys = cartpole()
     cost = CostSpec.identity(4, 1)
     k = np.array([[0.8, -8.0, 3.2, -7.0]])
