@@ -15,7 +15,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -227,41 +227,52 @@ class SearchBracket:
             raise ValueError("budget must allow at least two queries")
 
 
+def _search(
+    evaluator: Callable[[float], float],
+    gamma_t: float,
+    bracket: SearchBracket,
+    propose: Callable[[float, float], float],
+    tol: float,
+    limit: int,
+) -> float:
+    """The loop both discount searches share.
+
+    Queries gamma = 1 first and returns 1 when even there the cost does not
+    exceed ``f2_bar + eps`` (termination branch).  Then evaluates up to
+    ``limit`` proposals ``x = propose(lo, hi)``: a value above
+    ``f2_bar + tol`` (or NaN) moves ``hi`` down to x, one below
+    ``f1_bar + tol`` moves ``lo`` up to x, and any other is accepted.
+    """
+    check_gamma(gamma_t)
+    if float(evaluator(1.0)) <= bracket.f2_bar + bracket.eps:
+        return 1.0
+    lo, hi = gamma_t, 1.0
+    for _ in range(limit):
+        x = propose(lo, hi)
+        a = float(evaluator(x))
+        if not a <= bracket.f2_bar + tol:
+            hi = x
+        elif a < bracket.f1_bar + tol:
+            lo = x
+        else:
+            return x
+    raise BudgetExceededError(f"no acceptable discount in {limit + 1} queries")
+
+
 def binary_search_gamma(
     evaluator: Callable[[float], float], gamma_t: float, bracket: SearchBracket
 ) -> float:
     """Find gamma' in [gamma_t, 1] whose capped cost lands in the bracket.
 
-    Relies on the cost being nondecreasing in gamma (linear systems).  First
-    queries gamma = 1: if even there the cost does not exceed the bracket,
-    returns 1 (termination branch).  Otherwise bisects, moving the upper end
-    down when the value overshoots ``f2_bar + eps`` and the lower end up when
-    it undershoots ``f1_bar + eps``.
+    Relies on the cost being nondecreasing in gamma (linear systems).  Bisects
+    ``[gamma_t, 1]`` after the gamma = 1 termination branch, with the accept
+    window ``[f1_bar + eps, f2_bar + eps]``, in at most ``bracket.budget``
+    queries, the first one included.
     """
-    check_gamma(gamma_t)
-    queries = 0
+    def mid(lo: float, hi: float) -> float:
+        return 0.5 * (lo + hi)
 
-    def query(g: float) -> float:
-        nonlocal queries
-        if queries >= bracket.budget:
-            raise BudgetExceededError(
-                f"binary search exceeded its budget of {bracket.budget} queries"
-            )
-        queries += 1
-        return float(evaluator(g))
-
-    if query(1.0) <= bracket.f2_bar + bracket.eps:
-        return 1.0
-    lo, hi = gamma_t, 1.0
-    while True:
-        x = 0.5 * (lo + hi)
-        a = query(x)
-        if a > bracket.f2_bar + bracket.eps:
-            hi = x
-        elif a < bracket.f1_bar + bracket.eps:
-            lo = x
-        else:
-            return x
+    return _search(evaluator, gamma_t, bracket, mid, bracket.eps, bracket.budget - 1)
 
 
 def random_search_gamma(
@@ -274,19 +285,13 @@ def random_search_gamma(
     """Monotonicity-free discount search: sample gamma uniform on [gamma_t, 1]
     and accept when the capped cost lands inside [f1_bar, f2_bar].
 
-    Uses the same gamma = 1 termination branch as the binary search.
+    Uses the same gamma = 1 termination branch as the binary search and at
+    most ``max_iters`` samples after it.
     """
-    check_gamma(gamma_t)
-    if float(evaluator(1.0)) <= bracket.f2_bar + bracket.eps:
-        return 1.0
-    for _ in range(max_iters):
-        x = float(rng.uniform(gamma_t, 1.0))
-        a = float(evaluator(x))
-        if bracket.f1_bar <= a <= bracket.f2_bar:
-            return x
-    raise BudgetExceededError(
-        f"random search found no acceptable discount in {max_iters} samples"
-    )
+    def uniform(lo: float, hi: float) -> float:
+        return float(rng.uniform(gamma_t, 1.0))
+
+    return _search(evaluator, gamma_t, bracket, uniform, 0.0, max_iters)
 
 
 @dataclass
@@ -410,8 +415,8 @@ class _ExactOracle:
         try:
             j = lqr_cost(self.sys, self.cost, K, gamma)
         except UnstableError:
-            return (cap if np.isfinite(cap) else np.inf), True
-        return (min(j, cap), j >= cap) if np.isfinite(cap) else (j, False)
+            return cap, True
+        return min(j, cap), j >= cap
 
     def gradient(self, K, gamma: float) -> tuple[np.ndarray, float, bool]:
         self.grad_queries += 1
@@ -426,41 +431,34 @@ class _SampledOracle:
         self,
         sys: NonlinearSystem,
         cost: CostSpec,
-        base: oracles.OracleConfig,
+        cfg: oracles.OracleConfig,
         eval_queries: int = 0,
         grad_queries: int = 0,
     ):
         self.sys = sys
         self.cost = cost
-        self.base = base
+        self.cfg = cfg
         self.eval_queries = eval_queries
         self.grad_queries = grad_queries
 
     def evaluate(self, K, gamma: float, cap: float = np.inf) -> tuple[float, bool]:
         idx = self.eval_queries + self.grad_queries
         self.eval_queries += 1
-        cfg = replace(self.base, cap=cap)
-        res = oracles.eps_eval(self.sys, K, gamma, cfg, self.cost, query_index=idx)
+        res = oracles.eps_eval(
+            self.sys, K, gamma, self.cfg, self.cost, query_index=idx, cap=cap
+        )
         return res.value, res.capped
 
     def gradient(self, K, gamma: float) -> tuple[np.ndarray, float, bool]:
         idx = self.eval_queries + self.grad_queries
         self.grad_queries += 1
-        if self.base.estimator == "zeroth":
-            res = oracles.eps_grad_zeroth_order(
-                self.sys, K, gamma, self.base, self.cost, query_index=idx
-            )
-        else:
-            res = oracles.eps_grad_sensitivity(
-                self.sys, K, gamma, self.base, self.cost, query_index=idx
-            )
-        value = res.value if res.value is not None else np.inf
-        return res.gradient, value, res.capped
-
-
-# Manifests are strict JSON: a non-finite float (``OracleConfig.cap`` is
-# inf by default) is written as the string "inf", "-inf" or "nan".
-_TOKENS = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}
+        estimator = (
+            oracles.eps_grad_zeroth_order
+            if self.cfg.estimator == "zeroth"
+            else oracles.eps_grad_sensitivity
+        )
+        res = estimator(self.sys, K, gamma, self.cfg, self.cost, query_index=idx)
+        return res.gradient, res.value, res.capped
 
 
 def _write_manifest(cfg: AnnealConfig, state: AnnealState, out_dir: Path) -> None:
@@ -472,8 +470,8 @@ def _write_manifest(cfg: AnnealConfig, state: AnnealState, out_dir: Path) -> Non
         "state": state.to_dict(),
     }
     tmp = out_dir / "manifest.json.tmp"
-    manifest = json.loads(json.dumps(manifest, default=str), parse_constant=_TOKENS.get)
-    tmp.write_text(json.dumps(manifest, indent=2, allow_nan=False))
+    # strict JSON: a non-finite float fails the write rather than the reader
+    tmp.write_text(json.dumps(manifest, indent=2, allow_nan=False, default=str))
     tmp.replace(out_dir / "manifest.json")
     with open(out_dir / "gains.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

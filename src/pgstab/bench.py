@@ -407,15 +407,12 @@ def run_cartpole(cfg: CartpoleBenchConfig) -> dict:
 def run_counterexample(gamma: float = 0.9 / 4.0, out_dir: str | None = None) -> dict:
     """Produce the discounting-fails-to-stabilize witness and its certificates."""
     witness = reward_shaping_counterexample(gamma)
-    A = np.diag([0.0, 2.0])
-    B = np.array([[1.0], [witness.beta]])
-    lin = LinearSystem(A, B)
-    rho_damped = spectral_radius(np.sqrt(gamma) * lin.closed_loop(witness.gain))
+    a_cl = witness.system.closed_loop(witness.gain)
     record = {
         "gamma": gamma,
         "beta": witness.beta,
         "gain": witness.gain.tolist(),
-        "rho_damped": rho_damped,
+        "rho_damped": spectral_radius(np.sqrt(gamma) * a_cl),
         "rho_undamped": witness.rho_undamped,
     }
     if out_dir is not None:

@@ -82,8 +82,10 @@ def lqr_grad(
 
 
 class ShapingWitness(NamedTuple):
-    """A discount for which the discounted-optimal gain fails to stabilize."""
+    """A discount for which the discounted-optimal gain fails to stabilize:
+    ``system`` is A = diag(0, 2), B = (1, beta)'."""
 
+    system: LinearSystem
     beta: float
     gain: np.ndarray
     rho_undamped: float
@@ -121,7 +123,7 @@ def reward_shaping_counterexample(
             continue
         rho = spectral_radius(sys.closed_loop(K))
         if rho > 1.0:
-            return ShapingWitness(beta=beta, gain=K, rho_undamped=rho)
+            return ShapingWitness(system=sys, beta=beta, gain=K, rho_undamped=rho)
         beta /= 2.0
     raise NoWitnessFoundError(
         f"no destabilizing discounted-optimal gain found above beta={beta_floor:g}"

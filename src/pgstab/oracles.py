@@ -31,16 +31,15 @@ class DivergedAllError(RuntimeError):
 class OracleConfig:
     """Sampling configuration for cost/gradient queries.
 
-    ``cap`` bounds evaluation queries (values are reported as
-    ``min(estimate, cap)``); ``smoothing_radius`` is the perturbation size of
-    the two-point zeroth-order estimator.
+    ``smoothing_radius`` is the perturbation size of the two-point
+    zeroth-order estimator.  The cap of an evaluation is not configuration:
+    it is an argument of ``eps_eval``, the one query it bounds.
     """
 
     n_rollouts: int = 100
     horizon: int = 200
     radius: float = 1.0
     seed: int = 0
-    cap: float = np.inf
     smoothing_radius: float = 1e-2
     estimator: str = "sensitivity"  # "sensitivity" | "zeroth"
 
@@ -51,8 +50,6 @@ class OracleConfig:
             raise ValueError("horizon must be nonnegative")
         if self.radius <= 0 or self.smoothing_radius <= 0:
             raise ValueError("radius and smoothing_radius must be positive")
-        if self.cap <= 0:
-            raise ValueError("cap must be positive")
         if self.estimator not in ("sensitivity", "zeroth"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
 
@@ -61,14 +58,14 @@ class OracleConfig:
 class QueryResult:
     """Outcome of a single oracle query.
 
-    ``value`` is the (possibly capped) cost estimate; gradient queries also
-    report the mean cost over the rollouts they kept.  ``stderr`` is a scalar
-    for evaluations and an elementwise array for gradients.  ``capped`` means
-    the cap bound or a divergence was hit, so ``value`` is only a lower
-    witness of the true cost.
+    ``value`` is always a float: the (possibly capped) cost estimate of an
+    evaluation, or the mean cost over the rollouts a gradient query kept.
+    ``stderr`` is a scalar for evaluations and an elementwise array for
+    gradients.  ``capped`` means the cap bound or a divergence was hit, so
+    ``value`` is only a lower witness of the true cost.
     """
 
-    value: float | None
+    value: float
     gradient: np.ndarray | None
     stderr: float | np.ndarray
     capped: bool
@@ -102,20 +99,21 @@ def eps_eval(
     cfg: OracleConfig,
     cost: CostSpec,
     query_index: int = 0,
+    cap: float = np.inf,
 ) -> QueryResult:
     """Capped Monte-Carlo estimate of the damped closed-loop cost.
 
-    Returns ``min(estimate, cfg.cap)`` with ``capped`` set when any rollout
+    Returns ``min(estimate, cap)`` with ``capped`` set when any rollout
     diverged or the estimate reached the cap.  Individual rollouts stop
     accumulating once they alone force the capped outcome
     (raw cost above ``cap * N * r^2 / d_x``), which bounds the work spent on
-    destabilizing gains.
+    destabilizing gains.  ``cap`` must be positive; ``inf`` caps nothing.
     """
+    if not cap > 0:
+        raise ValueError("cap must be positive")
     scale = sys.d_x / cfg.radius**2
     x0s = initial_states(cfg, sys.d_x, query_index)
-    rollout_cap = (
-        cfg.cap * cfg.n_rollouts / scale if np.isfinite(cfg.cap) else np.inf
-    )
+    rollout_cap = cap * cfg.n_rollouts / scale
     batch = rollout_cost_batch(
         sys, K, gamma, x0s, cfg.horizon, cost, rollout_cap=rollout_cap
     )
@@ -126,9 +124,9 @@ def eps_eval(
         if cfg.n_rollouts > 1
         else 0.0
     )
-    capped = bool(batch.diverged.any() or batch.capped.any() or estimate >= cfg.cap)
+    capped = bool(batch.diverged.any() or batch.capped.any() or estimate >= cap)
     return QueryResult(
-        value=float(min(estimate, cfg.cap)),
+        value=float(min(estimate, cap)),
         gradient=None,
         stderr=stderr,
         capped=capped,
@@ -208,21 +206,20 @@ def eps_grad_zeroth_order(
     cost: CostSpec,
     query_index: int = 0,
 ) -> QueryResult:
-    """Two-point zeroth-order gradient from capped single-rollout evaluations.
+    """Two-point zeroth-order gradient from single-rollout cost differences.
 
     Each of the ``cfg.n_rollouts`` directions perturbs K by
     ``cfg.smoothing_radius`` along a random unit direction and differences two
     rollout costs started from the same sphere point.  Direction i and its
     start are row i of the query's seeded stream, ``K.size + d_x`` normals in
-    that order, and all ``2 N`` rollouts are stepped as one batch.  Direction
-    pairs with a diverged member are dropped and counted.
+    that order, and all ``2 N`` rollouts are stepped as one batch, uncapped.
+    Direction pairs with a diverged member are dropped and counted.
     """
     K = np.asarray(K, dtype=float)
     d_k = K.size
     r_s = cfg.smoothing_radius
     n = cfg.n_rollouts
     scale = sys.d_x / cfg.radius**2
-    rollout_cap = cfg.cap / scale if np.isfinite(cfg.cap) else np.inf
 
     z = _query_normals(cfg, query_index, d_k + sys.d_x)
     u, x = z[:, :d_k], z[:, d_k:]
@@ -230,15 +227,9 @@ def eps_grad_zeroth_order(
     x0s = cfg.radius * x / _row_norms(x)
     gains = np.concatenate([K + r_s * dirs, K - r_s * dirs])
     batch = rollout_cost_batch(
-        sys,
-        gains,
-        gamma,
-        np.vstack([x0s, x0s]),
-        cfg.horizon,
-        cost,
-        rollout_cap=rollout_cap,
+        sys, gains, gamma, np.vstack([x0s, x0s]), cfg.horizon, cost
     )
-    f = np.where(batch.diverged, np.nan, np.minimum(scale * batch.costs, cfg.cap))
+    f = np.where(batch.diverged, np.nan, scale * batch.costs)
     f_plus, f_minus = f[:n], f[n:]
     valid = np.isfinite(f_plus) & np.isfinite(f_minus)
     used = int(valid.sum())

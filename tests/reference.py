@@ -3,8 +3,9 @@
 Each one is a plain, unbatched version of something the package computes in
 batched or closed form: the seeded draws of an oracle query made one rollout
 at a time, a single damped rollout stepped one state at a time, a
-generic two-point gradient estimator driven by an arbitrary objective, and
-the residual of a discrete Lyapunov solution.
+generic two-point gradient estimator driven by an arbitrary objective, the
+two discount searches as separate loops, and the residual of a discrete
+Lyapunov solution.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from typing import Callable
 
 import numpy as np
 
+from pgstab.anneal import BudgetExceededError, SearchBracket
 from pgstab.dynamics import BLOWUP_FACTOR, NonlinearSystem
-from pgstab.model import CostSpec
+from pgstab.model import CostSpec, check_gamma
 from pgstab.oracles import DivergedAllError, OracleConfig
 
 
@@ -199,6 +201,58 @@ def two_point_gradient(
         dropped=dropped,
     )
 
+
+def binary_search_gamma_loop(
+    evaluator: Callable[[float], float], gamma_t: float, bracket: SearchBracket
+) -> float:
+    """``anneal.binary_search_gamma`` as its own loop: a counted query closure
+    that refuses the query after ``bracket.budget``, then bisection."""
+    check_gamma(gamma_t)
+    queries = 0
+
+    def query(g: float) -> float:
+        nonlocal queries
+        if queries >= bracket.budget:
+            raise BudgetExceededError(
+                f"binary search exceeded its budget of {bracket.budget} queries"
+            )
+        queries += 1
+        return float(evaluator(g))
+
+    if query(1.0) <= bracket.f2_bar + bracket.eps:
+        return 1.0
+    lo, hi = gamma_t, 1.0
+    while True:
+        x = 0.5 * (lo + hi)
+        a = query(x)
+        if a > bracket.f2_bar + bracket.eps:
+            hi = x
+        elif a < bracket.f1_bar + bracket.eps:
+            lo = x
+        else:
+            return x
+
+
+def random_search_gamma_loop(
+    evaluator: Callable[[float], float],
+    gamma_t: float,
+    bracket: SearchBracket,
+    rng: np.random.Generator,
+    max_iters: int = 500,
+) -> float:
+    """``anneal.random_search_gamma`` as its own loop: the gamma = 1 branch,
+    then up to ``max_iters`` uniform samples tested against the exact window."""
+    check_gamma(gamma_t)
+    if float(evaluator(1.0)) <= bracket.f2_bar + bracket.eps:
+        return 1.0
+    for _ in range(max_iters):
+        x = float(rng.uniform(gamma_t, 1.0))
+        a = float(evaluator(x))
+        if bracket.f1_bar <= a <= bracket.f2_bar:
+            return x
+    raise BudgetExceededError(
+        f"random search found no acceptable discount in {max_iters} samples"
+    )
 
 
 def dlyap_residual(a_cl, sigma, x) -> float:

@@ -202,10 +202,11 @@ def test_criterion_8_divergence_detection():
     sys = linear_as_nonlinear(lin)
     cost = CostSpec.identity(2, 1)
     cap = 100.0
-    cfg = OracleConfig(n_rollouts=50, horizon=int(4 * cap), radius=1.0, cap=cap)
+    cfg = OracleConfig(n_rollouts=50, horizon=int(4 * cap), radius=1.0)
     gain = np.zeros((1, 2))
     hits = sum(
-        eps_eval(sys, gain, 1.0, cfg, cost, query_index=i).capped for i in range(100)
+        eps_eval(sys, gain, 1.0, cfg, cost, query_index=i, cap=cap).capped
+        for i in range(100)
     )
     assert hits >= 99
     elapsed = time.perf_counter() - t0

@@ -8,6 +8,9 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import binary_search_gamma_loop, random_search_gamma_loop
 
 import pgstab.lqr
 from pgstab.anneal import (
@@ -302,6 +305,85 @@ def test_random_search_budget_error():
         )
 
 
+def test_binary_search_never_accepts_nan():
+    # a NaN cost is an overshoot: bisection moves down and runs out of budget
+    bracket = SearchBracket(f1_bar=5.0, f2_bar=20.0, eps=0.1, budget=8)
+    queries = []
+
+    def evaluator(g):
+        queries.append(g)
+        return 100.0 if g == 1.0 else float("nan")
+
+    with pytest.raises(BudgetExceededError):
+        binary_search_gamma(evaluator, 0.1, bracket)
+    assert len(queries) == 8
+    assert queries[1:] == sorted(queries[1:], reverse=True)
+
+
+def cost_profile(kind: str, seed: int, j: float, bracket: SearchBracket):
+    """A cost-versus-discount profile starting near ``j``: ``monotone``
+    (polynomial growth), ``pole`` (grows to a pole, ``inf`` beyond it, as a
+    destabilized gain does), ``bumpy`` (not monotone) or ``edges`` (jumps
+    between the edges of both accept windows)."""
+    r = np.random.default_rng(seed)
+    if kind == "edges":
+        f1, f2, eps = bracket.f1_bar, bracket.f2_bar, bracket.eps
+        levels = r.permutation([j, f1, f2, f1 + eps, f2 + eps, 100.0 * j])
+        return lambda g: float(levels[int(97.0 * g) % len(levels)])
+    if kind == "monotone":
+        power, top = r.uniform(0.5, 8.0), j * r.uniform(1.0, 40.0)
+        return lambda g: j + (top - j) * g**power
+    if kind == "pole":
+        pole = r.uniform(0.3, 1.2)
+        return lambda g: j * pole / (pole - g) if g < pole else np.inf
+    amp, freq, phase = r.uniform(1.0, 12.0), r.uniform(2.0, 40.0), r.uniform(0, 6.3)
+    return lambda g: j * (1.0 + amp * np.sin(freq * g + phase) ** 2)
+
+
+def run_search(search, evaluator, *args):
+    """The queried discounts and the outcome (a discount or the error type)."""
+    queries = []
+
+    def recorded(g):
+        queries.append(g)
+        return evaluator(g)
+
+    try:
+        return queries, search(recorded, *args)
+    except BudgetExceededError as exc:
+        return queries, type(exc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["monotone", "pole", "bumpy", "edges"]),
+    seed=st.integers(0, 2**32 - 1),
+    gamma_t=st.floats(0.01, 1.0),
+    j=st.floats(0.5, 50.0),
+    eps=st.sampled_from([1e-3, 0.05, 0.2, 5.0]),
+    budget=st.integers(2, 40),
+    max_iters=st.integers(0, 40),
+)
+def test_searches_equal_their_separate_loops(
+    kind, seed, gamma_t, j, eps, budget, max_iters
+):
+    # the shared loop queries the same discounts and returns the same value
+    # (or raises the same budget error) as the two searches written apart
+    bracket = SearchBracket(
+        f1_bar=2.75 * j, f2_bar=7.25 * j, eps=eps * j, budget=budget
+    )
+    args = (cost_profile(kind, seed, j, bracket), gamma_t, bracket)
+    assert run_search(binary_search_gamma, *args) == run_search(
+        binary_search_gamma_loop, *args
+    )
+    rngs = [np.random.default_rng(seed) for _ in range(2)]
+    assert run_search(random_search_gamma, *args, rngs[0], max_iters) == run_search(
+        random_search_gamma_loop, *args, rngs[1], max_iters
+    )
+    # and leaves the search rng in the same state
+    assert rngs[0].random() == rngs[1].random()
+
+
 def test_anneal_config_validation():
     with pytest.raises(ValueError):
         AnnealConfig(oracle_mode="analytic")
@@ -329,6 +411,8 @@ def test_pg_config_validation():
 
 def test_config_hash_ignores_operational_fields():
     base = config_hash(AnnealConfig())
+    # pinned: exact manifests written by earlier versions keep resuming
+    assert base == "9a7800351e4ca1d2"
     assert config_hash(AnnealConfig(max_outer=7, out_dir="/tmp/x")) == base
     assert config_hash(AnnealConfig(seed=1)) != base
     assert config_hash(AnnealConfig(c2=7.0)) != base
@@ -529,9 +613,25 @@ def test_anneal_sampled_manifest_is_strict_json(tmp_path):
         linear_as_nonlinear(SYS), cfg=replace(SAMPLED_50x100, out_dir=str(out))
     )
     manifest = json.loads((out / "manifest.json").read_text(), parse_constant=refuse)
-    assert manifest["config"]["oracle"]["cap"] == "inf"
-    # frozen from before manifests were strict, so those manifests still resume
-    assert manifest["config_hash"] == config_hash(SAMPLED_50x100) == "79968d05fbac4e92"
+    # pinned: it moved from 79968d05fbac4e92 when the evaluation cap left
+    # OracleConfig, so sampled manifests written before that are refused
+    assert manifest["config_hash"] == config_hash(SAMPLED_50x100) == "0c0511624e6d615c"
+
+
+def test_anneal_resume_refuses_sampled_manifest_with_old_hash(tmp_path):
+    # a sampled manifest hashed with OracleConfig.cap in it (79968d05fbac4e92)
+    # would resume onto other noise streams, so it must be refused
+    nls = linear_as_nonlinear(SYS)
+    out = tmp_path / "run"
+    with pytest.raises(BudgetExceededError):
+        discount_anneal(
+            nls, cfg=replace(SAMPLED_50x100, max_outer=1, out_dir=str(out))
+        )
+    manifest = load_manifest(out / "manifest.json")
+    manifest["config_hash"] = "79968d05fbac4e92"
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="refusing to resume"):
+        discount_anneal(nls, cfg=SAMPLED_50x100, resume_from=out / "manifest.json")
 
 
 def test_anneal_resume_refuses_other_config(tmp_path):

@@ -189,6 +189,7 @@ def test_shaping_counterexample_witness():
     a = np.diag([0.0, 2.0])
     b = np.array([[1.0], [w.beta]])
     sys = LinearSystem(a, b)
+    assert np.array_equal(w.system.A, a) and np.array_equal(w.system.B, b)
     a_cl = sys.closed_loop(w.gain)
     # discounted-optimal gain, stabilizing for the damped system but not the
     # undamped one

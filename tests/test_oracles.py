@@ -179,18 +179,16 @@ def test_eps_eval_radius_invariance_linear():
 def test_eps_eval_cap_branches():
     sys_nl = linear_as_nonlinear(SYS)
     # estimate above cap on a stable loop: exact cap reported, flag set
-    cfg = OracleConfig(n_rollouts=20, horizon=200, seed=2, cap=1.0)
-    res = eps_eval(sys_nl, K_STAB, 0.9, cfg, COST2)
+    cfg = OracleConfig(n_rollouts=20, horizon=200, seed=2)
+    res = eps_eval(sys_nl, K_STAB, 0.9, cfg, COST2, cap=1.0)
     assert res.capped
     assert res.value == 1.0
     # divergence on an unstable loop: flag set even with a huge cap
-    cfg_div = OracleConfig(n_rollouts=20, horizon=200, seed=2, cap=1e12)
-    res_div = eps_eval(sys_nl, np.zeros((1, 2)), 1.0, cfg_div, COST2)
+    res_div = eps_eval(sys_nl, np.zeros((1, 2)), 1.0, cfg, COST2, cap=1e12)
     assert res_div.capped
     assert res_div.value <= 1e12
     # uncapped run on the same unstable loop still flags divergence
-    cfg_inf = OracleConfig(n_rollouts=20, horizon=200, seed=2)
-    assert eps_eval(sys_nl, np.zeros((1, 2)), 1.0, cfg_inf, COST2).capped
+    assert eps_eval(sys_nl, np.zeros((1, 2)), 1.0, cfg, COST2).capped
 
 
 def test_eps_eval_single_rollout_cap_forces_outcome():
@@ -207,8 +205,8 @@ def test_eps_eval_single_rollout_cap_forces_outcome():
         raise NotImplementedError
 
     sys = NonlinearSystem(d_x=2, d_u=1, step=step, step_jac=step_jac)
-    cfg = OracleConfig(n_rollouts=40, horizon=200, seed=8, cap=50.0)
-    res = eps_eval(sys, np.zeros((1, 2)), 1.0, cfg, COST2)
+    cfg = OracleConfig(n_rollouts=40, horizon=200, seed=8)
+    res = eps_eval(sys, np.zeros((1, 2)), 1.0, cfg, COST2, cap=50.0)
     assert res.capped
     assert res.value == 50.0
 
@@ -351,20 +349,16 @@ def test_zeroth_order_matches_generic_two_point():
     gamma = 0.9
     cfg = OracleConfig(
         n_rollouts=40, horizon=80, radius=0.1, seed=23,
-        smoothing_radius=1e-3, estimator="zeroth", cap=1e4,
+        smoothing_radius=1e-3, estimator="zeroth",
     )
     scale = sys.d_x / cfg.radius**2
-    rollout_cap = cfg.cap / scale
 
     def evaluate(k_perturbed, rng):
         x0 = sphere_sample(rng, sys.d_x, cfg.radius)[None, :]
-        b = rollout_cost_batch(
-            sys, k_perturbed, gamma, x0, cfg.horizon, cost,
-            rollout_cap=rollout_cap,
-        )
+        b = rollout_cost_batch(sys, k_perturbed, gamma, x0, cfg.horizon, cost)
         if b.diverged[0]:
             return float("nan")
-        return min(scale * float(b.costs[0]), cfg.cap)
+        return scale * float(b.costs[0])
 
     generic = two_point_gradient(
         evaluate, k, cfg.smoothing_radius, cfg.n_rollouts, cfg.seed, 5
@@ -413,6 +407,9 @@ def test_oracle_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(radius=0.0)
     with pytest.raises(ValueError):
-        OracleConfig(cap=-1.0)
-    with pytest.raises(ValueError):
         OracleConfig(estimator="spsa")
+    # the cap is refused where it is read, by the query it bounds
+    sys_nl, cfg = linear_as_nonlinear(SYS), OracleConfig(n_rollouts=2, horizon=3)
+    for cap in (-1.0, 0.0, np.nan):
+        with pytest.raises(ValueError, match="cap must be positive"):
+            eps_eval(sys_nl, K_STAB, 0.9, cfg, COST2, cap=cap)
