@@ -11,17 +11,15 @@ system using only cost and gradient queries.
 
 from __future__ import annotations
 
-import csv
-import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from . import oracles
+from . import files, oracles
 from .dynamics import NonlinearSystem, jacobian_linearization
 from .lqr import lqr_cost, lqr_grad
 from .matops import UnstableError, solve_dare, spectral_radius
@@ -301,8 +299,10 @@ class AnnealConfig:
     ``oracle_mode="exact"`` solves the inner problems against the Riccati /
     Lyapunov solvers on the (declared or linearized) system matrices;
     ``"sampled"`` uses Monte-Carlo queries through the simulator and needs
-    ``oracle`` set.  The starting discount, the search method, its tolerance
-    and its query budget are derived, not configured (see ``discount_anneal``).
+    ``oracle`` set.  ``c2 - c1 > 1`` keeps the search window
+    ``[(c1 + 0.25) J, (c2 - 0.75) J]`` nonempty.  The starting discount, the
+    search method, its tolerance and its query budget are derived, not
+    configured (see ``discount_anneal``).
     """
 
     oracle_mode: str = "exact"  # "exact" | "sampled"
@@ -320,8 +320,8 @@ class AnnealConfig:
     def __post_init__(self):
         if self.oracle_mode not in ("exact", "sampled"):
             raise ValueError(f"unknown oracle_mode {self.oracle_mode!r}")
-        if not (1.0 < self.c1 < self.c2):
-            raise ValueError("need 1 < c1 < c2")
+        if not (1.0 < self.c1 and self.c2 - self.c1 > 1.0):
+            raise ValueError("need 1 < c1 and c2 - c1 > 1")
         if self.pg_optimizer not in ("adam", "gd"):
             raise ValueError(f"unknown pg_optimizer {self.pg_optimizer!r}")
         if self.pg_steps < 0 or self.exact_max_steps < 0:
@@ -334,32 +334,47 @@ class AnnealConfig:
 
 @dataclass
 class IterationRecord:
-    iteration: int
+    """One outer iteration; ``gamma_next`` is None on the final, undamped one."""
+
     gamma: float
     gamma_next: float | None
     inner_steps: int
     cost_start: float
     cost_end: float
-    cost_next_gamma: float | None
     optimal_cost: float | None
-    search_queries: int
     search_transcript: list[dict]
     gain: list
+
+    @property
+    def search_queries(self) -> int:
+        return len(self.search_transcript)
+
+    @property
+    def cost_next_gamma(self) -> float | None:
+        """The cost at the accepted discount: the search's last query."""
+        return self.search_transcript[-1]["value"] if self.search_transcript else None
+
+
+def _from_manifest(cls, d: dict):
+    names = {f.name for f in fields(cls)}
+    if set(d) != names:
+        raise ValueError(
+            f"manifest {cls.__name__} holds unknown keys {sorted(set(d) - names)} "
+            f"and lacks {sorted(names - set(d))}; refusing to resume"
+        )
+    return cls(**d)
 
 
 @dataclass
 class AnnealState:
-    """Progress of an annealing run; serializes to the run manifest."""
+    """Progress of an annealing run, held as its history; serializes to the
+    run manifest.  The current discount is ``gammas[-1]`` and the current
+    gain ``history[-1].gain``."""
 
     gamma0: float
-    gamma: float
-    iteration: int
-    gain: np.ndarray
     history: list[IterationRecord] = field(default_factory=list)
-    query_counter: int = 0  # eval_queries + grad_queries
     eval_queries: int = 0
     grad_queries: int = 0
-    done: bool = False
     final_spectral_radius: float | None = None
 
     @property
@@ -372,14 +387,16 @@ class AnnealState:
             r.gamma_next for r in self.history if r.gamma_next is not None
         ]
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "gain": np.asarray(self.gain).tolist()}
+    @property
+    def done(self) -> bool:
+        return bool(self.history) and self.history[-1].gamma_next is None
 
     @staticmethod
     def from_dict(d: dict) -> "AnnealState":
-        history = [IterationRecord(**r) for r in d["history"]]
-        gain = np.array(d["gain"], dtype=float)
-        return AnnealState(**{**d, "gain": gain, "history": history})
+        """The state a manifest holds; keys the fields do not match are refused."""
+        state = _from_manifest(AnnealState, d)
+        state.history = [_from_manifest(IterationRecord, r) for r in state.history]
+        return state
 
 
 def config_hash(cfg: AnnealConfig) -> str:
@@ -388,11 +405,7 @@ def config_hash(cfg: AnnealConfig) -> str:
     Operational fields (iteration cap, output directory) are excluded so an
     interrupted run can be resumed with a larger budget or a new location.
     """
-    fields = asdict(cfg)
-    fields.pop("max_outer")
-    fields.pop("out_dir")
-    payload = json.dumps(fields, sort_keys=True, default=str)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return files.digest(cfg, "max_outer", "out_dir")
 
 
 class _ExactOracle:
@@ -461,36 +474,18 @@ class _SampledOracle:
         return res.gradient, res.value, res.capped
 
 
-def _write_manifest(cfg: AnnealConfig, state: AnnealState, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "config": asdict(cfg),
-        "config_hash": config_hash(cfg),
-        "seed": cfg.seed,
-        "state": state.to_dict(),
-    }
-    tmp = out_dir / "manifest.json.tmp"
-    # strict JSON: a non-finite float fails the write rather than the reader
-    tmp.write_text(json.dumps(manifest, indent=2, allow_nan=False, default=str))
-    tmp.replace(out_dir / "manifest.json")
-    with open(out_dir / "gains.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        d_u, d_x = np.asarray(state.gain).shape
-        writer.writerow(
-            ["iteration", "gamma"]
-            + [f"k{a}{b}" for a in range(d_u) for b in range(d_x)]
-        )
-        for rec in state.history:
-            flat = np.array(rec.gain, dtype=float).reshape(-1)
-            writer.writerow(
-                [rec.iteration, repr(float(rec.gamma))]
-                + [repr(float(v)) for v in flat]
-            )
-
-
-def load_manifest(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+def _write_manifest(cfg: AnnealConfig, state: AnnealState) -> None:
+    out_dir = Path(cfg.out_dir)
+    files.write_json(
+        out_dir / "manifest.json",
+        {"config": asdict(cfg), "config_hash": config_hash(cfg), "state": asdict(state)},
+    )
+    d_u, d_x = np.shape(state.history[-1].gain)
+    files.write_csv(
+        out_dir / "gains.csv",
+        ["iteration", "gamma"] + [f"k{a}{b}" for a in range(d_u) for b in range(d_x)],
+        [[t, rec.gamma, *np.ravel(rec.gain)] for t, rec in enumerate(state.history)],
+    )
 
 
 def discount_anneal(
@@ -517,6 +512,10 @@ def discount_anneal(
     ``spectral_radius(A + B K) < 1`` or ``UnstableError`` is raised.  For a
     simulator-only system that is the local guarantee of the Jacobian
     linearization at the origin.
+
+    ``resume_from`` continues the run a manifest holds, under the same
+    configuration hash.  A finished run resumes to its stored gain with no
+    oracle query, and goes through the same closing check.
     """
     cfg = cfg or AnnealConfig()
     d_x, d_u = sys.d_x, sys.d_u
@@ -532,7 +531,7 @@ def discount_anneal(
     eps = (0.1 if declared_linear else 0.01) * d_x
 
     if resume_from is not None:
-        manifest = load_manifest(resume_from)
+        manifest = json.loads(Path(resume_from).read_text())
         if manifest["config_hash"] != config_hash(cfg):
             raise ValueError(
                 "manifest was produced under a different configuration; refusing to resume"
@@ -540,9 +539,7 @@ def discount_anneal(
         state = AnnealState.from_dict(manifest["state"])
     else:
         gamma0 = min(1.0, 0.9 / np.linalg.norm(lin.A, 2) ** 2)
-        state = AnnealState(
-            gamma0=gamma0, gamma=gamma0, iteration=0, gain=np.zeros((d_u, d_x))
-        )
+        state = AnnealState(gamma0=gamma0)
 
     exact = cfg.oracle_mode == "exact"
     counts = (state.eval_queries, state.grad_queries)
@@ -561,15 +558,14 @@ def discount_anneal(
             max_steps=cfg.pg_steps,
         )
 
-    out_dir = Path(cfg.out_dir) if cfg.out_dir is not None else None
-    K = np.asarray(state.gain, dtype=float)
-    while True:
-        t = state.iteration
+    K = np.array(state.history[-1].gain) if state.history else np.zeros((d_u, d_x))
+    while not state.done:
+        t = state.outer_iterations
         if t >= cfg.max_outer:
             raise BudgetExceededError(
                 f"annealing exceeded {cfg.max_outer} outer iterations", iteration=t
             )
-        gamma = state.gamma
+        gamma = state.gammas[-1]
         final = gamma >= 1.0 - 1e-12
         gamma_next = None
         transcript: list[dict] = []
@@ -620,30 +616,20 @@ def discount_anneal(
             raise InnerDivergedError(str(exc), iteration=t) from exc
         state.history.append(
             IterationRecord(
-                iteration=t,
                 gamma=1.0 if final else gamma,
                 gamma_next=gamma_next,
                 inner_steps=pg.steps,
                 cost_start=pg.costs[0],
                 cost_end=j_hat,
-                cost_next_gamma=transcript[-1]["value"] if transcript else None,
                 optimal_cost=objective.optimal_cost,
-                search_queries=len(transcript),
                 search_transcript=transcript,
                 gain=K.tolist(),
             )
         )
-        state.gain = K
-        state.iteration = t + 1
         state.eval_queries = oracle.eval_queries
         state.grad_queries = oracle.grad_queries
-        state.query_counter = oracle.eval_queries + oracle.grad_queries
-        if final:
-            state.done = True
-            break
-        state.gamma = gamma_next
-        if out_dir is not None:
-            _write_manifest(cfg, state, out_dir)
+        if cfg.out_dir is not None and not state.done:
+            _write_manifest(cfg, state)
 
     rho = spectral_radius(lin.closed_loop(K))
     state.final_spectral_radius = rho
@@ -651,6 +637,6 @@ def discount_anneal(
         raise UnstableError(
             f"annealing finished with an unstable closed loop (rho={rho:.6g})"
         )
-    if out_dir is not None:
-        _write_manifest(cfg, state, out_dir)
+    if cfg.out_dir is not None:
+        _write_manifest(cfg, state)
     return K, state

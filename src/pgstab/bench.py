@@ -6,16 +6,13 @@ configuration hash and master seed alongside.
 
 from __future__ import annotations
 
-import csv
-import hashlib
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import oracles
+from . import files, oracles
 from .anneal import AnnealConfig, discount_anneal
 from .dynamics import (
     CartPoleParams,
@@ -44,6 +41,14 @@ class RoaConfig:
     tol: float = 1e-3
     ceiling: float = 3.0
     seed: int = 0
+
+    def __post_init__(self):
+        if self.directions < 1 or self.horizon < 1:
+            raise ValueError("RoaConfig directions and horizon must be at least 1")
+        if not 0.0 < self.delta_conv < 1.0:
+            raise ValueError(f"delta_conv must lie in (0, 1), got {self.delta_conv}")
+        if not (self.tol > 0.0 and 0.0 < self.ceiling < math.inf):
+            raise ValueError("RoaConfig needs tol > 0 and a finite ceiling > 0")
 
 
 @dataclass
@@ -129,48 +134,22 @@ def estimate_roa(
     )
 
 
-def write_csv(path, header: list[str], rows: list[list]) -> None:
-    """CSV writer that renders floats with ``repr`` so files re-parse exactly."""
-
-    def render(v):
-        # np.float64 subclasses float but reprs as "np.float64(...)", so
-        # coerce before repr
-        if isinstance(v, (float, np.floating)):
-            return repr(float(v))
-        if isinstance(v, (np.integer,)):
-            return str(int(v))
-        return v
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([render(v) for v in row])
-
-
-def _write_meta(out_dir: Path, name: str, config_obj, seed: int) -> None:
+def _write_meta(out_dir: Path, name: str, config_obj) -> None:
     # hash everything except where the report lands, so reruns of the same
     # experiment into different directories carry the same identifier
-    hashed = asdict(config_obj)
-    hashed.pop("out_dir", None)
-    payload = json.dumps(hashed, sort_keys=True, default=str)
     meta = {
         "report": name,
         "config": asdict(config_obj),
-        "config_hash": hashlib.sha256(payload.encode()).hexdigest()[:16],
-        "seed": seed,
+        "config_hash": files.digest(config_obj, "out_dir"),
+        "seed": config_obj.seed,
     }
-    (out_dir / f"{name}.meta.json").write_text(
-        json.dumps(meta, indent=2, default=str)
-    )
+    files.write_json(out_dir / f"{name}.meta.json", meta)
 
 
-def sample_stabilizable_system(
-    rng: np.random.Generator, d_x: int, rho_low: float = 1.0, rho_high: float = 2.0
-) -> LinearSystem:
-    """Random stabilizable (A, B) with open-loop spectral radius in (rho_low, rho_high]."""
+def sample_stabilizable_system(rng: np.random.Generator, d_x: int) -> LinearSystem:
+    """Random stabilizable (A, B) with open-loop spectral radius in (1, 2]."""
     while True:
-        target = rng.uniform(rho_low + 1e-9, rho_high)
+        target = rng.uniform(1.0 + 1e-9, 2.0)
         A = rng.standard_normal((d_x, d_x))
         A *= target / spectral_radius(A)
         d_u = int(rng.integers(1, d_x + 1))
@@ -195,6 +174,13 @@ class LinearSuiteConfig:
     estimator: str = "sensitivity"
     max_outer: int = 200
     out_dir: str | None = None
+
+    def __post_init__(self):
+        self.dims, self.modes = tuple(self.dims), tuple(self.modes)
+        if self.instances < 1 or not self.dims or min(self.dims) < 1:
+            raise ValueError("LinearSuiteConfig needs instances >= 1 and dims >= 1")
+        if not self.modes or not set(self.modes) <= {"exact", "sampled"}:
+            raise ValueError(f"modes must be 'exact' or 'sampled', got {self.modes}")
 
 
 def run_linear_suite(cfg: LinearSuiteConfig) -> list[dict]:
@@ -268,10 +254,11 @@ def run_linear_suite(cfg: LinearSuiteConfig) -> list[dict]:
             rows.append(row)
     if cfg.out_dir is not None:
         out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         header = list(rows[0].keys())
-        write_csv(out / "linear_suite.csv", header, [[r[h] for h in header] for r in rows])
-        _write_meta(out, "linear_suite", cfg, cfg.seed)
+        files.write_csv(
+            out / "linear_suite.csv", header, [[r[h] for h in header] for r in rows]
+        )
+        _write_meta(out, "linear_suite", cfg)
     return rows
 
 
@@ -290,14 +277,19 @@ class CartpoleBenchConfig:
     params: CartPoleParams = field(default_factory=CartPoleParams)
     out_dir: str | None = None
 
+    def __post_init__(self):
+        self.radii = tuple(self.radii)
+        if not self.radii or self.trials < 1:
+            raise ValueError("CartpoleBenchConfig needs radii and trials >= 1")
+
 
 def run_cartpole(cfg: CartpoleBenchConfig) -> dict:
     """Anneal cart-pole from scratch at each start radius and measure the ROA.
 
     Emits a summary table with [min, max] over trials per radius, per-trial
     iteration traces that include the gap to the discounted Riccati gain on
-    the linearization, and a baselines table (exact LQR on the linearization,
-    plus an externally synthesized reference value).
+    the linearization, and a baselines table (``run_lqr_baseline`` on the
+    same parameters, plus an externally synthesized reference value).
     """
     sys = cartpole(cfg.params)
     cost = CostSpec.identity(sys.d_x, sys.d_u)
@@ -335,20 +327,20 @@ def run_cartpole(cfg: CartpoleBenchConfig) -> dict:
                 1.0,
                 oracle_cfg,
                 cost,
-                query_index=state.query_counter + 1,
+                query_index=state.eval_queries + state.grad_queries + 1,
             )
             roas.append(roa.rho_roa)
             iters.append(state.outer_iterations)
             final_costs.append(sampled.value)
             trace_rows = []
-            for rec in state.history:
+            for t, rec in enumerate(state.history):
                 _, k_lin = solve_dare(lin, cost, rec.gamma)
                 gain_gap = float(
                     np.linalg.norm(np.array(rec.gain) - k_lin, "fro")
                 )
                 trace_rows.append(
                     [
-                        rec.iteration,
+                        t,
                         rec.gamma,
                         rec.gamma_next if rec.gamma_next is not None else "",
                         rec.cost_end,
@@ -357,7 +349,7 @@ def run_cartpole(cfg: CartpoleBenchConfig) -> dict:
                         gain_gap,
                     ]
                 )
-            traces[(radius, j)] = trace_rows
+            traces[f"r{radius}_trial{j}"] = trace_rows
         table_rows.append(
             [
                 radius,
@@ -370,37 +362,35 @@ def run_cartpole(cfg: CartpoleBenchConfig) -> dict:
             ]
         )
 
-    _, k_lqr = solve_dare(lin, cost, 1.0)
-    roa_lqr = estimate_roa(sys, k_lqr, cfg.roa)
+    baseline = run_lqr_baseline(cfg.params, cfg.roa)
     baselines = [
-        ["lqr_linearization", roa_lqr.rho_roa, "computed"],
+        ["lqr_linearization", baseline["rho_roa"], "computed"],
         ["hinf", HINF_REFERENCE_ROA, "external"],
     ]
 
     result = {
         "table": table_rows,
         "baselines": baselines,
-        "lqr_gain": k_lqr.tolist(),
-        "traces": {f"r{r}_trial{j}": rows for (r, j), rows in traces.items()},
+        "lqr_gain": baseline["gain"],
+        "traces": traces,
     }
     if cfg.out_dir is not None:
         out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_csv(
+        files.write_csv(
             out / "cartpole_table.csv",
             ["r", "roa_min", "roa_max", "trials", "iters_max",
              "final_cost_min", "final_cost_max"],
             table_rows,
         )
-        write_csv(out / "baselines.csv", ["label", "rho_roa", "source"], baselines)
-        for (radius, j), rows in traces.items():
-            write_csv(
-                out / f"trace_r{radius}_trial{j}.csv",
+        files.write_csv(out / "baselines.csv", ["label", "rho_roa", "source"], baselines)
+        for key, rows in traces.items():
+            files.write_csv(
+                out / f"trace_{key}.csv",
                 ["iteration", "gamma", "gamma_next", "cost", "inner_steps",
                  "search_queries", "gain_gap_fro"],
                 rows,
             )
-        _write_meta(out, "cartpole", cfg, cfg.seed)
+        _write_meta(out, "cartpole", cfg)
     return result
 
 
@@ -416,9 +406,7 @@ def run_counterexample(gamma: float = 0.9 / 4.0, out_dir: str | None = None) -> 
         "rho_undamped": witness.rho_undamped,
     }
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "counterexample.json").write_text(json.dumps(record, indent=2))
+        files.write_json(Path(out_dir) / "counterexample.json", record)
     return record
 
 
@@ -439,7 +427,5 @@ def run_lqr_baseline(
         "rho_closed_loop_linearization": spectral_radius(lin.closed_loop(k_lqr)),
     }
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "lqr_baseline.json").write_text(json.dumps(record, indent=2))
+        files.write_json(Path(out_dir) / "lqr_baseline.json", record)
     return record

@@ -15,9 +15,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
+from pathlib import Path
 
 import numpy as np
 
+from . import files
 from .bench import (
     CartpoleBenchConfig,
     LinearSuiteConfig,
@@ -83,20 +85,16 @@ def _check_keys(cfg: dict, accepted: set[str], where: str) -> None:
             _check_keys(value, _NESTED_KEYS[key], f"{where}{key}.")
 
 
+def _with_flags(args, cfg: dict) -> dict:
+    """The config with the ``--seed``, ``--out`` and ``--estimator`` overrides."""
+    flags = {"seed": args.seed, "out_dir": args.out, "estimator": args.estimator}
+    return {**cfg, **{k: v for k, v in flags.items() if v is not None}}
+
+
 def _cmd_anneal_linear(args, cfg: dict) -> dict:
-    kwargs = dict(cfg)
-    if "dims" in kwargs:
-        kwargs["dims"] = tuple(kwargs["dims"])
-    if "modes" in kwargs:
-        kwargs["modes"] = tuple(kwargs["modes"])
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.out is not None:
-        kwargs["out_dir"] = args.out
+    kwargs = _with_flags(args, cfg)
     if args.oracle is not None:
         kwargs["modes"] = (args.oracle,)
-    if args.estimator is not None:
-        kwargs["estimator"] = args.estimator
     rows = run_linear_suite(LinearSuiteConfig(**kwargs))
     failures = [r for r in rows if r["status"] != "ok"]
     return {
@@ -107,42 +105,32 @@ def _cmd_anneal_linear(args, cfg: dict) -> dict:
 
 
 def _cmd_anneal_cartpole(args, cfg: dict) -> dict:
-    kwargs = dict(cfg)
-    if "radii" in kwargs:
-        kwargs["radii"] = tuple(kwargs["radii"])
+    kwargs = _with_flags(args, cfg)
     if "roa" in cfg:
         kwargs["roa"] = RoaConfig(**cfg["roa"])
     if "params" in cfg:
         kwargs["params"] = CartPoleParams(**cfg["params"])
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.out is not None:
-        kwargs["out_dir"] = args.out
-    if args.estimator is not None:
-        kwargs["estimator"] = args.estimator
     result = run_cartpole(CartpoleBenchConfig(**kwargs))
     return {"table": result["table"], "out_dir": kwargs.get("out_dir")}
 
 
+def _roa_config(args, cfg: dict) -> RoaConfig:
+    """The config's ``roa`` object with the ``--seed`` override applied."""
+    seed = {} if args.seed is None else {"seed": args.seed}
+    return RoaConfig(**{**cfg.get("roa", {}), **seed})
+
+
 def _cmd_roa(args, cfg: dict) -> dict:
     sys_obj = _system_from_spec(cfg.get("system", {}))
-    roa_kwargs = dict(cfg.get("roa", {}))
-    if args.seed is not None:
-        roa_kwargs["seed"] = args.seed
     if "gain" in cfg:
         gain = np.array(cfg["gain"], dtype=float)
     elif "gain_file" in cfg:
         gain = np.loadtxt(cfg["gain_file"], delimiter=",", ndmin=2)
     else:
         raise ValueError("roa needs 'gain' (matrix) or 'gain_file' (CSV) in the config")
-    report = estimate_roa(sys_obj, gain, RoaConfig(**roa_kwargs))
-    out = report.to_dict()
+    report = estimate_roa(sys_obj, gain, _roa_config(args, cfg))
     if args.out is not None:
-        from pathlib import Path
-
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "roa.json").write_text(json.dumps(out, indent=2))
+        files.write_json(Path(args.out) / "roa.json", report.to_dict())
     return {"rho_roa": report.rho_roa, "out_dir": args.out}
 
 
@@ -153,12 +141,7 @@ def _cmd_counterexample(args, cfg: dict) -> dict:
 
 def _cmd_baseline_lqr(args, cfg: dict) -> dict:
     params = CartPoleParams(**cfg.get("params", {}))
-    roa_kwargs = dict(cfg.get("roa", {}))
-    if args.seed is not None:
-        roa_kwargs["seed"] = args.seed
-    return run_lqr_baseline(
-        params=params, roa=RoaConfig(**roa_kwargs), out_dir=args.out
-    )
+    return run_lqr_baseline(params, _roa_config(args, cfg), out_dir=args.out)
 
 
 _COMMANDS = {
@@ -209,16 +192,12 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         _check_keys(cfg, _CONFIG_KEYS[args.command], "")
         summary = _COMMANDS[args.command](args, cfg)
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
-        _sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
-        )
-        return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         _sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
         )
-        return 1
+        # a bad or missing config is a usage error (JSONDecodeError is a ValueError)
+        return 2 if isinstance(exc, (ValueError, FileNotFoundError)) else 1
     print(json.dumps(summary, indent=2, default=str))
     return 0
 

@@ -92,7 +92,7 @@ class ShapingWitness(NamedTuple):
 
 
 def reward_shaping_counterexample(
-    gamma: float, cost: CostSpec | None = None, *, beta_floor: float = 1e-12
+    gamma: float, *, beta_floor: float = 1e-12
 ) -> ShapingWitness:
     """Witness that solving the discounted problem can fail to stabilize.
 
@@ -100,18 +100,14 @@ def reward_shaping_counterexample(
     ``max(|k1|, |k2|) < 1/(2 beta)`` leaves the closed loop unstable, yet for
     small beta the gamma-discounted optimal gain satisfies exactly that bound.
     Halves beta from 0.5 until the discounted-optimal gain has undamped
-    spectral radius above 1.
+    spectral radius above 1, under the identity cost.
 
     Requires ``gamma < 1/4`` so that the uncontrolled damped system is
     already stable (sqrt(gamma) * 2 < 1).
     """
     if not (0.0 < gamma < 0.25):
         raise ValueError(f"gamma must lie in (0, 1/4) for this family, got {gamma}")
-    if cost is None:
-        cost = CostSpec.identity(2, 1)
-    if cost.d_x != 2 or cost.d_u != 1:
-        raise ValueError("cost must be for d_x=2, d_u=1")
-
+    cost = CostSpec.identity(2, 1)
     A = np.diag([0.0, 2.0])
     beta = 0.5
     while beta >= beta_floor:

@@ -101,9 +101,9 @@ class CostSpec:
         )
 
     @staticmethod
-    def identity(d_x: int, d_u: int, scale: float = 1.0) -> "CostSpec":
-        """The default cost Q = scale * I, R = scale * I."""
-        return CostSpec(scale * np.eye(d_x), scale * np.eye(d_u))
+    def identity(d_x: int, d_u: int) -> "CostSpec":
+        """The default cost Q = I, R = I."""
+        return CostSpec(np.eye(d_x), np.eye(d_u))
 
     def stage(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Stage cost, batched over any leading axes of x and u."""

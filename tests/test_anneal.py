@@ -4,7 +4,7 @@ linear systems in both exact and sampled mode."""
 
 import json
 import math
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -27,7 +27,6 @@ from pgstab.anneal import (
     binary_search_gamma,
     config_hash,
     discount_anneal,
-    load_manifest,
     policy_gradient,
     random_search_gamma,
 )
@@ -391,6 +390,11 @@ def test_anneal_config_validation():
         AnnealConfig(c1=8.0, c2=2.5)
     with pytest.raises(ValueError):
         AnnealConfig(c1=0.5)
+    # the search window [(c1 + 0.25) J, (c2 - 0.75) J] is empty unless c2 - c1 > 1
+    for c2 in (2.5, 3.0):
+        with pytest.raises(ValueError, match=r"c2 - c1 > 1"):
+            AnnealConfig(c1=2.0, c2=c2)
+    AnnealConfig(c1=2.0, c2=3.01)
     with pytest.raises(ValueError):
         AnnealConfig(oracle_mode="sampled")
 
@@ -420,35 +424,56 @@ def test_config_hash_ignores_operational_fields():
 
 def test_state_round_trips_through_json():
     record = IterationRecord(
-        iteration=0,
         gamma=0.4,
         gamma_next=0.5,
         inner_steps=3,
         cost_start=9.0,
         cost_end=4.0,
-        cost_next_gamma=11.0,
         optimal_cost=3.5,
-        search_queries=2,
-        search_transcript=[{"gamma": 1.0, "value": 50.0, "capped": True}],
+        search_transcript=[
+            {"gamma": 1.0, "value": 50.0, "capped": True},
+            {"gamma": 0.5, "value": 11.0, "capped": False},
+        ],
         gain=[[0.1, -0.2]],
     )
-    state = AnnealState(
-        gamma0=0.4,
-        gamma=0.5,
-        iteration=1,
-        gain=np.array([[0.1, -0.2]]),
-        history=[record],
-        query_counter=7,
-        eval_queries=5,
-        grad_queries=3,
-    )
-    back = AnnealState.from_dict(json.loads(json.dumps(state.to_dict())))
-    assert back.gamma == state.gamma
-    assert back.iteration == 1
-    assert back.query_counter == 7
-    assert np.array_equal(back.gain, state.gain)
+    state = AnnealState(gamma0=0.4, history=[record], eval_queries=5, grad_queries=3)
+    back = AnnealState.from_dict(json.loads(json.dumps(asdict(state))))
+    assert back == state
     assert back.history[0] == record
     assert back.gammas == [0.4, 0.5]
+    assert back.outer_iterations == 1
+    assert not back.done
+    # the derived record fields are read off the transcript
+    assert record.search_queries == 2
+    assert record.cost_next_gamma == 11.0
+    assert len(fields(AnnealState)) == 5 and len(fields(IterationRecord)) == 8
+
+
+def test_anneal_resume_refuses_manifest_keys_the_state_does_not_have(tmp_path):
+    nls = linear_as_nonlinear(SYS)
+    out = tmp_path / "run"
+    with pytest.raises(BudgetExceededError):
+        discount_anneal(nls, cfg=AnnealConfig(max_outer=1, out_dir=str(out)))
+    manifest = json.loads((out / "manifest.json").read_text())
+    state = manifest["state"]
+    # the layout written before the run was its history: the exact
+    # configuration hash is unchanged, so the state keys must refuse it
+    record = state["history"][0]
+    transcript = record["search_transcript"]
+    record = {**record, "iteration": 0, "search_queries": len(transcript),
+              "cost_next_gamma": transcript[-1]["value"]}
+    old = {**state, "history": [record], "gamma": record["gamma_next"],
+           "iteration": 1, "gain": record["gain"], "done": False,
+           "query_counter": state["eval_queries"] + state["grad_queries"]}
+    (out / "manifest.json").write_text(json.dumps({**manifest, "seed": 0, "state": old}))
+    with pytest.raises(ValueError, match="refusing to resume") as excinfo:
+        discount_anneal(nls, resume_from=out / "manifest.json")
+    for key in ("done", "gain", "gamma", "iteration", "query_counter"):
+        assert repr(key) in str(excinfo.value)
+    with pytest.raises(ValueError, match="'search_queries'"):
+        AnnealState.from_dict({**state, "history": [record]})
+    with pytest.raises(ValueError, match="'history'"):
+        AnnealState.from_dict({k: v for k, v in state.items() if k != "history"})
 
 
 def test_anneal_exact_stabilizes_unstable_system():
@@ -585,10 +610,10 @@ def test_anneal_manifest_resume_matches_uninterrupted_run(tmp_path, cfg):
     with pytest.raises(BudgetExceededError):
         discount_anneal(nls, cfg=replace(cfg, max_outer=1, out_dir=str(out)))
 
-    manifest = load_manifest(out / "manifest.json")
+    manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config_hash"] == config_hash(cfg)
     saved = AnnealState.from_dict(manifest["state"])
-    assert saved.iteration == 1
+    assert saved.outer_iterations == 1
     assert not saved.done
 
     resumed_gain, resumed = discount_anneal(
@@ -599,9 +624,26 @@ def test_anneal_manifest_resume_matches_uninterrupted_run(tmp_path, cfg):
     assert resumed.gammas == fresh.gammas
     assert resumed.outer_iterations == fresh.outer_iterations
     # the counts carry across the resume instead of restarting from zero
-    for name in ("eval_queries", "grad_queries", "query_counter"):
+    for name in ("eval_queries", "grad_queries"):
         assert getattr(resumed, name) == getattr(fresh, name), name
-    assert resumed.query_counter == resumed.eval_queries + resumed.grad_queries
+
+
+@pytest.mark.parametrize(
+    "cfg", [AnnealConfig(), SAMPLED_50x100], ids=["exact", "sampled"]
+)
+def test_anneal_finished_manifest_resumes_without_queries(tmp_path, cfg):
+    nls = linear_as_nonlinear(SYS)
+    out = tmp_path / "run"
+    fresh_gain, fresh = discount_anneal(nls, cfg=replace(cfg, out_dir=str(out)))
+    resumed_gain, resumed = discount_anneal(
+        nls, cfg=cfg, resume_from=out / "manifest.json"
+    )
+    # the oracles count every query, so equal counts mean none was made
+    assert np.array_equal(resumed_gain, fresh_gain)
+    assert resumed.outer_iterations == fresh.outer_iterations
+    assert resumed.eval_queries == fresh.eval_queries
+    assert resumed.grad_queries == fresh.grad_queries
+    assert resumed.final_spectral_radius == fresh.final_spectral_radius
 
 
 def test_anneal_sampled_manifest_is_strict_json(tmp_path):
@@ -627,7 +669,7 @@ def test_anneal_resume_refuses_sampled_manifest_with_old_hash(tmp_path):
         discount_anneal(
             nls, cfg=replace(SAMPLED_50x100, max_outer=1, out_dir=str(out))
         )
-    manifest = load_manifest(out / "manifest.json")
+    manifest = json.loads((out / "manifest.json").read_text())
     manifest["config_hash"] = "79968d05fbac4e92"
     (out / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="refusing to resume"):
@@ -649,16 +691,15 @@ def test_anneal_writes_manifest_and_gains_on_success(tmp_path):
     nls = linear_as_nonlinear(SYS)
     out = tmp_path / "run"
     gain, state = discount_anneal(nls, cfg=AnnealConfig(out_dir=str(out)))
-    manifest = load_manifest(out / "manifest.json")
-    assert manifest["state"]["done"] is True
-    assert np.allclose(np.array(manifest["state"]["gain"]), gain)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest) == {"config", "config_hash", "state"}
+    assert manifest["state"]["history"][-1]["gamma_next"] is None
+    assert np.array_equal(np.array(manifest["state"]["history"][-1]["gain"]), gain)
 
     saved = AnnealState.from_dict(manifest["state"])
+    assert saved.done
     for f in fields(AnnealState):
-        if f.name == "gain":
-            assert np.array_equal(saved.gain, state.gain)
-        else:
-            assert getattr(saved, f.name) == getattr(state, f.name), f.name
+        assert getattr(saved, f.name) == getattr(state, f.name), f.name
 
     rows = (out / "gains.csv").read_text().strip().splitlines()
     assert rows[0] == "iteration,gamma,k00,k01"
@@ -702,5 +743,3 @@ def test_anneal_sampled_mode_stabilizes_linear_system():
     assert spectral_radius(SYS.closed_loop(gain)) < 1.0
     assert state.gammas[-1] == 1.0
     assert state.grad_queries == 250 * state.outer_iterations
-    # every oracle query consumed a fresh noise substream
-    assert state.query_counter == state.eval_queries + state.grad_queries

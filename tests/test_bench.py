@@ -14,10 +14,10 @@ from pgstab.bench import (
     run_linear_suite,
     run_lqr_baseline,
     sample_stabilizable_system,
-    write_csv,
 )
 from pgstab.cli import build_parser, main
 from pgstab.dynamics import cartpole, linear_as_nonlinear
+from pgstab.files import write_csv
 from pgstab.matops import solve_dare, spectral_radius
 from pgstab.model import CostSpec, LinearSystem
 
@@ -202,6 +202,38 @@ def test_cli_refuses_invalid_loop_setting(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
     assert "pg_steps" in err["message"]
+
+
+ROA_GAIN = {"gain": [[0.0, 0.0, 0.0, 0.0]]}
+
+
+@pytest.mark.parametrize(
+    "command, config, field",
+    [
+        ("roa", {**ROA_GAIN, "roa": {"tol": 0.0}}, "tol"),
+        ("roa", {**ROA_GAIN, "roa": {"directions": 0}}, "directions"),
+        ("roa", {**ROA_GAIN, "roa": {"horizon": -5}}, "horizon"),
+        ("roa", {**ROA_GAIN, "roa": {"delta_conv": 2.0}}, "delta_conv"),
+        ("roa", {**ROA_GAIN, "roa": {"ceiling": -1.0}}, "ceiling"),
+        ("baseline-lqr", {"roa": {"tol": 0.0}}, "tol"),
+        ("anneal-cartpole", {"roa": {"horizon": 0}}, "horizon"),
+        ("anneal-cartpole", {"radii": []}, "radii"),
+        ("anneal-cartpole", {"trials": 0}, "trials"),
+        ("anneal-linear", {"instances": 0}, "instances"),
+        ("anneal-linear", {"dims": []}, "dims"),
+        ("anneal-linear", {"modes": []}, "modes"),
+        ("anneal-linear", {"modes": ["analytic"]}, "modes"),
+    ],
+)
+def test_cli_refuses_invalid_config_values(tmp_path, capsys, command, config, field):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert field in err["message"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
