@@ -24,7 +24,7 @@ from .dynamics import (
 )
 from .lqr import lqr_cost, reward_shaping_counterexample
 from .matops import NotStabilizableError, solve_dare, spectral_radius
-from .model import CostSpec, LinearSystem
+from .model import CostSpec, LinearSystem, as_gain
 
 # Reference value for an H-infinity controller synthesized with external
 # tooling; reported for comparison only, never computed here.
@@ -96,8 +96,10 @@ def estimate_roa(
     Draws seeded random unit directions, bisects the critical radius along
     each (convergence means reaching ``||x|| <= delta_conv * radius`` within
     the horizon), and reports the minimum over directions.  Directions that
-    still converge at the search ceiling report the ceiling.
+    still converge at the search ceiling report the ceiling.  A gain that
+    is not finite or not ``(d_u, d_x)`` is refused with a ``ValueError``.
     """
+    K = as_gain(K, sys.d_u, sys.d_x)
     cfg = cfg or RoaConfig()
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0xD18,)))
     dirs = rng.standard_normal((cfg.directions, sys.d_x))

@@ -49,6 +49,9 @@ def _system_from_spec(spec: dict):
     if kind == "cartpole":
         return cartpole(CartPoleParams(**spec.get("params", {})))
     if kind == "linear":
+        missing = [key for key in ("A", "B") if key not in spec]
+        if missing:
+            raise ValueError(f"a linear system needs {missing} in config 'system'")
         return linear_as_nonlinear(
             LinearSystem(np.array(spec["A"], dtype=float), np.array(spec["B"], dtype=float))
         )

@@ -2,7 +2,11 @@
 and the discounted discrete algebraic Riccati equation.
 
 These are the oracles everything else is checked against, so they are kept
-dependency-free (numpy only) and conservative about convergence.
+dependency-free (numpy only) and conservative about convergence.  Both
+equations are summed by doubling: after ``k`` passes the Lyapunov sum holds
+``2^k`` terms of its series and the Riccati iterate ``H_k`` equals ``2^k``
+steps of value iteration, so a slow mode costs passes logarithmic, not
+linear, in its time constant.
 """
 
 from __future__ import annotations
@@ -17,7 +21,14 @@ class UnstableError(RuntimeError):
 
 
 class NotStabilizableError(RuntimeError):
-    """Riccati value iteration diverged: no finite-cost stabilizing gain exists."""
+    """No stabilizing gain has finite discounted cost.
+
+    Raised by ``solve_dare`` when the doubled Riccati iterate ``H_k`` (the
+    optimal cost over ``2^k`` steps) overflows or passes
+    ``DARE_DIVERGENCE_BOUND``, when it has not converged after
+    ``DARE_MAX_DOUBLINGS`` passes, or when the greedy gain of its limit
+    leaves the damped closed loop unstable.
+    """
 
 
 def spectral_radius(m) -> float:
@@ -71,18 +82,8 @@ def dlyap(a_cl: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return (x + x.T) / 2.0
 
 
-def _riccati_update(
-    P: np.ndarray, Ad: np.ndarray, Bd: np.ndarray, Q: np.ndarray, R: np.ndarray
-) -> np.ndarray:
-    """One step of value iteration on the (damped) Riccati recursion."""
-    BtP = Bd.T @ P
-    gain_term = np.linalg.solve(R + BtP @ Bd, BtP @ Ad)
-    new_p = Q + Ad.T @ P @ Ad - (BtP @ Ad).T @ gain_term
-    return (new_p + new_p.T) / 2.0
-
-
-# solve_dare's value-iteration limits (see its docstring)
-DARE_MAX_ITER = 1_000_000
+# solve_dare's doubling limits (see its docstring)
+DARE_MAX_DOUBLINGS = 64
 DARE_REL_TOL = 1e-12
 DARE_DIVERGENCE_BOUND = 1e12
 
@@ -92,11 +93,16 @@ def solve_dare(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Optimal value matrix and gain of the gamma-discounted LQR problem.
 
-    Runs value iteration ``P <- Q + Ad'PAd - Ad'PBd (R + Bd'PBd)^-1 Bd'PAd``
-    on the damped matrices ``Ad = sqrt(gamma) A``, ``Bd = sqrt(gamma) B``
-    until the relative change drops below ``DARE_REL_TOL``, then polishes the
-    fixed point with a few policy-evaluation steps so the returned pair is
-    self-consistent to machine precision.
+    Sums the Riccati recursion ``P <- Q + Ad'PAd - Ad'PBd (R + Bd'PBd)^-1 Bd'PAd``
+    on the damped matrices ``Ad = sqrt(gamma) A``, ``Bd = sqrt(gamma) B`` by
+    structure-preserving doubling (Chu, Fan & Lin 2005).  From ``H = Q``,
+    ``G = Bd R^-1 Bd'`` and ``M = Ad``, one pass with ``W = I + G H`` performs
+    ``H <- H + M' H W^-1 M``, ``G <- G + M W^-1 G M'`` and ``M <- M W^-1 M``.
+    After ``k`` passes ``H_k`` is the value-iteration iterate after ``2^k``
+    steps from ``P = 0``: the optimal cost of the horizon-``2^k`` problem.
+    Passes stop once the relative change of ``H`` drops below
+    ``DARE_REL_TOL``; a few policy-evaluation steps then polish the fixed
+    point so the returned pair is self-consistent to machine precision.
 
     Returns
     -------
@@ -106,8 +112,10 @@ def solve_dare(
     Raises
     ------
     NotStabilizableError
-        If the iteration diverges past ``DARE_DIVERGENCE_BOUND`` or fails
-        to converge within ``DARE_MAX_ITER`` steps.
+        If ``H`` is not finite or its trace exceeds ``DARE_DIVERGENCE_BOUND``,
+        if it does not converge within ``DARE_MAX_DOUBLINGS`` passes (``2^64``
+        value-iteration steps), or if the greedy gain of the limit is not
+        stable.
     """
     check_gamma(gamma)
     A, B, Q, R = sys.A, sys.B, cost.Q, cost.R
@@ -116,36 +124,45 @@ def solve_dare(
     sq = np.sqrt(gamma)
     Ad, Bd = sq * A, sq * B
 
-    P = Q.copy()
-    converged = False
-    for _ in range(DARE_MAX_ITER):
-        new_p = _riccati_update(P, Ad, Bd, Q, R)
-        if not np.all(np.isfinite(new_p)) or np.trace(new_p) > DARE_DIVERGENCE_BOUND:
+    d = sys.d_x
+    H, M = Q, Ad
+    G = Bd @ np.linalg.solve(R, Bd.T)
+    G = (G + G.T) / 2.0
+    for _ in range(DARE_MAX_DOUBLINGS):
+        # one LU of W = I + G H serves both W^-1 M and W^-1 G
+        w_inv_mg = np.linalg.solve(np.eye(d) + G @ H, np.hstack([M, G]))
+        w_inv_m, w_inv_g = w_inv_mg[:, :d], w_inv_mg[:, d:]
+        new_h = H + M.T @ H @ w_inv_m
+        new_h = (new_h + new_h.T) / 2.0
+        if not np.all(np.isfinite(new_h)) or np.trace(new_h) > DARE_DIVERGENCE_BOUND:
             raise NotStabilizableError(
-                f"value iteration diverged at gamma={gamma:g}; "
+                f"Riccati doubling diverged at gamma={gamma:g}; "
                 "no stabilizing gain with finite discounted cost"
             )
-        delta = np.linalg.norm(new_p - P, "fro")
-        P = new_p
-        if delta <= DARE_REL_TOL * max(np.linalg.norm(P, "fro"), 1.0):
-            converged = True
+        G = G + M @ w_inv_g @ M.T
+        G = (G + G.T) / 2.0
+        M = M @ w_inv_m
+        delta = np.linalg.norm(new_h - H, "fro")
+        H = new_h
+        if delta <= DARE_REL_TOL * max(np.linalg.norm(H, "fro"), 1.0):
             break
-    if not converged:
+    else:
         raise NotStabilizableError(
-            f"value iteration did not converge within {DARE_MAX_ITER} steps at gamma={gamma:g}"
+            f"Riccati doubling did not converge within {DARE_MAX_DOUBLINGS} passes "
+            f"at gamma={gamma:g}"
         )
 
     # Policy-evaluation polish: alternate the greedy gain with an exact
     # Lyapunov solve for its value.  Quadratic convergence wipes out the
-    # residual linear-rate error of plain value iteration in a couple of rounds.
-    K = -np.linalg.solve(R + gamma * B.T @ P @ B, gamma * B.T @ P @ A)
+    # residual error left by the doubling's stopping test in a couple of rounds.
+    K = -np.linalg.solve(R + gamma * B.T @ H @ B, gamma * B.T @ H @ A)
     try:
         for _ in range(3):
             P = dlyap(sq * (A + B @ K), Q + K.T @ R @ K)
             K = -np.linalg.solve(R + gamma * B.T @ P @ B, gamma * B.T @ P @ A)
     except UnstableError as exc:
         raise NotStabilizableError(
-            f"greedy gain after value iteration is not stable at gamma={gamma:g}"
+            f"greedy gain after Riccati doubling is not stable at gamma={gamma:g}"
         ) from exc
     P = dlyap(sq * (A + B @ K), Q + K.T @ R @ K)
     return P, K

@@ -23,6 +23,14 @@ def as_matrix(value, name: str) -> np.ndarray:
     return m
 
 
+def as_gain(value, d_u: int, d_x: int) -> np.ndarray:
+    """Coerce to a finite ``(d_u, d_x)`` float gain, copying the input."""
+    K = as_matrix(value, "gain")
+    if K.shape != (d_u, d_x):
+        raise ValueError(f"gain must have shape {(d_u, d_x)}, got {K.shape}")
+    return K
+
+
 def check_gamma(gamma: float) -> None:
     """Refuse a discount outside (0, 1]."""
     if not (0.0 < gamma <= 1.0):
@@ -58,12 +66,7 @@ class LinearSystem:
 
     def closed_loop(self, K: np.ndarray) -> np.ndarray:
         """Closed-loop matrix ``A + B K`` for a finite gain ``K``."""
-        K = as_matrix(K, "gain")
-        if K.shape != (self.d_u, self.d_x):
-            raise ValueError(
-                f"gain must have shape {(self.d_u, self.d_x)}, got {K.shape}"
-            )
-        return self.A + self.B @ K
+        return self.A + self.B @ as_gain(K, self.d_u, self.d_x)
 
 
 @dataclass(frozen=True)

@@ -175,6 +175,28 @@ def test_cli_roa_without_gain_is_usage_error(tmp_path, capsys):
     assert err["error"] == "ValueError"
 
 
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ({"system": {"kind": "linear"}, "gain": [[0.0, 0.0]]}, "'A', 'B'"),
+        ({"system": {"kind": "linear", "A": [[0.5]]}, "gain": [[0.0]]}, "'B'"),
+        ({"gain": [[0.0, 0.0]]}, "gain must have shape (1, 4)"),
+        ({"gain": [0.0, 0.0, 0.0, 0.0]}, "gain must be a 2-D matrix"),
+        ({"gain": [[0.0, float("nan"), 0.0, 0.0]]}, "gain has non-finite entries"),
+    ],
+    ids=["linear-without-A-B", "linear-without-B", "gain-shape", "gain-1d", "gain-nan"],
+)
+def test_cli_roa_refuses_malformed_system_or_gain(tmp_path, capsys, config, named):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    rc = main(["roa", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert named in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_missing_config_file_is_usage_error(tmp_path, capsys):
     rc = main(["counterexample", "--config", str(tmp_path / "nope.json")])
     assert rc == 2

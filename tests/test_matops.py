@@ -8,7 +8,7 @@ B=1, Q=R=1.
 
 import numpy as np
 import pytest
-from reference import dlyap_residual
+from reference import dlyap_residual, solve_dare_value_iteration
 
 from pgstab.bench import sample_stabilizable_system
 from pgstab.matops import (
@@ -182,6 +182,72 @@ def test_dare_riccati_residual_and_optimality():
 def test_dare_not_stabilizable():
     # uncontrollable unstable mode: B only actuates the stable state
     sys = LinearSystem(np.diag([2.0, 0.5]), np.array([[0.0], [1.0]]))
+    with pytest.raises(NotStabilizableError):
+        solve_dare(sys, CostSpec.identity(2, 1))
+
+
+def _with_hidden_mode(rng, d):
+    """A random (A, B) whose last ``d - m`` states B cannot reach, with the
+    spectral radius of that block drawn in (1.2, 3): stabilizable only at a
+    discount that damps the block below 1."""
+    m = int(rng.integers(1, d))
+    a = rng.normal(size=(d, d))
+    a[m:, :m] = 0.0
+    a[m:, m:] *= rng.uniform(1.2, 3.0) / spectral_radius(a[m:, m:])
+    b = np.zeros((d, m))
+    b[:m] = rng.normal(size=(m, m))
+    return LinearSystem(a, b)
+
+
+def test_solve_dare_matches_value_iteration():
+    # the first 60 systems of `pgstab anneal-linear --seed 0`, random
+    # stabilizable systems, the uncontrollable-mode case above and systems
+    # with an uncontrollable block that only some discounts damp
+    rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(0x11E,)))
+    systems = [sample_stabilizable_system(rng, (2, 3, 4)[i % 3]) for i in range(60)]
+    rng = np.random.default_rng(19)
+    systems += [sample_stabilizable_system(rng, int(rng.integers(1, 6))) for _ in range(40)]
+    systems.append(LinearSystem(np.diag([2.0, 0.5]), np.array([[0.0], [1.0]])))
+    systems += [_with_hidden_mode(rng, int(rng.integers(2, 6))) for _ in range(40)]
+    refused = 0
+    for sys in systems:
+        cost = CostSpec.identity(sys.d_x, sys.d_u)
+        for gamma in (0.05, 0.3, 0.7, 0.95, 1.0):
+            try:
+                p_ref, k_ref = solve_dare_value_iteration(sys, cost, gamma)
+            except NotStabilizableError:
+                refused += 1
+                with pytest.raises(NotStabilizableError):
+                    solve_dare(sys, cost, gamma)
+                continue
+            p, k = solve_dare(sys, cost, gamma)
+            # 1e-10, or the forward-error scale 16 u cond(P) where that is
+            # larger: 1.9e-10 on the draw with cond(P) = 4.2e5 at gamma = 1,
+            # whose two answers are 1.6e-10 and 2.4e-10 from scipy's
+            tol = max(1e-10, 16 * np.finfo(float).eps * np.linalg.cond(p_ref))
+            assert np.linalg.norm(p - p_ref) <= tol * np.linalg.norm(p_ref)
+            assert np.linalg.norm(k - k_ref) <= tol * np.linalg.norm(k_ref)
+    assert refused >= 100  # the non-stabilizable cases are really exercised
+
+
+def test_solve_dare_slow_stable_uncontrollable_mode():
+    # the first state is untouched by B and decays at 0.99999, so its value is
+    # the geometric sum 1 / (1 - 0.99999^2); value iteration needs 840,562
+    # steps for this, doubling 22 passes
+    sys = LinearSystem(np.diag([0.99999, 1.5]), np.array([[0.0], [1.0]]))
+    cost = CostSpec.identity(2, 1)
+    p, k = solve_dare(sys, cost)
+    assert p[0, 0] == pytest.approx(1.0 / (1.0 - 0.99999**2), rel=1e-9)
+    assert spectral_radius(sys.closed_loop(k)) < 1.0
+    linalg = pytest.importorskip("scipy.linalg")
+    p_ref = linalg.solve_discrete_are(sys.A, sys.B, cost.Q, cost.R)
+    assert np.linalg.norm(p - p_ref) <= 1e-8 * np.linalg.norm(p_ref)
+
+
+def test_solve_dare_refuses_marginal_uncontrollable_mode():
+    # a mode at exactly 1 that B cannot reach: H_k grows like 2^k until it
+    # passes the divergence bound
+    sys = LinearSystem(np.diag([1.0, 1.5]), np.array([[0.0], [1.0]]))
     with pytest.raises(NotStabilizableError):
         solve_dare(sys, CostSpec.identity(2, 1))
 
