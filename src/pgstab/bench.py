@@ -77,12 +77,12 @@ def _converged_mask(
     Kt = np.asarray(K, dtype=float).T.copy()
     X = np.array(x0s, dtype=float)
     tgt2 = np.asarray(targets, dtype=float) ** 2
-    conv = (X * X).sum(axis=1) <= tgt2
+    conv = np.vecdot(X, X) <= tgt2
     act = np.flatnonzero(~conv)
 
     def advance(X, tgt2):
         X = np.asarray(sys.step(X, X @ Kt), dtype=float)
-        return X, (tgt2,), (X * X).sum(axis=1) <= tgt2  # NaN and inf fail `<=`
+        return X, (tgt2,), np.vecdot(X, X) <= tgt2  # NaN and inf fail `<=`
 
     conv[act] = lockstep(X[act], horizon, advance, (tgt2[act],)).stopped
     return conv

@@ -46,23 +46,24 @@ def _load_config(path: str | None) -> dict:
 
 def _system_from_spec(spec: dict):
     kind = spec.get("kind", "cartpole")
+    if kind not in ("cartpole", "linear"):
+        raise ValueError(f"unknown system kind {kind!r}")
+    _check_keys(spec, _SYSTEM_KEYS[kind], "system.")
     if kind == "cartpole":
         return cartpole(CartPoleParams(**spec.get("params", {})))
-    if kind == "linear":
-        missing = [key for key in ("A", "B") if key not in spec]
-        if missing:
-            raise ValueError(f"a linear system needs {missing} in config 'system'")
-        return linear_as_nonlinear(
-            LinearSystem(np.array(spec["A"], dtype=float), np.array(spec["B"], dtype=float))
-        )
-    raise ValueError(f"unknown system kind {kind!r}")
+    missing = [key for key in ("A", "B") if key not in spec]
+    if missing:
+        raise ValueError(f"a linear system needs {missing} in config 'system'")
+    return linear_as_nonlinear(
+        LinearSystem(np.array(spec["A"], dtype=float), np.array(spec["B"], dtype=float))
+    )
 
 
 def _fields(cls) -> set[str]:
     return set(cls.__dataclass_fields__)
 
 
-# accepted config keys per subcommand, and inside the nested objects
+# accepted config keys per subcommand, inside the nested objects and per system kind
 _CONFIG_KEYS = {
     "anneal-linear": _fields(LinearSuiteConfig),
     "anneal-cartpole": _fields(CartpoleBenchConfig),
@@ -73,8 +74,8 @@ _CONFIG_KEYS = {
 _NESTED_KEYS = {
     "roa": _fields(RoaConfig),
     "params": _fields(CartPoleParams),
-    "system": {"kind", "params", "A", "B"},
 }
+_SYSTEM_KEYS = {"cartpole": {"kind", "params"}, "linear": {"kind", "A", "B"}}
 
 
 def _check_keys(cfg: dict, accepted: set[str], where: str) -> None:

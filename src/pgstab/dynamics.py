@@ -109,6 +109,9 @@ def cartpole(params: CartPoleParams | None = None) -> NonlinearSystem:
     mpl = mp * l
     mpll = mp * l * l
     mtot = mp + mc
+    # the state-independent entries of the Euler step's state Jacobian
+    gx_const = np.eye(4)
+    gx_const[0, 2] = gx_const[1, 3] = ts
 
     def _core(th, om, f):
         s, c = np.sin(th), np.cos(th)
@@ -149,13 +152,9 @@ def cartpole(params: CartPoleParams | None = None) -> NonlinearSystem:
         ) * invdet - thacc * ddet_scaled
 
         n = x.shape[0]
-        gx = np.zeros((n, 4, 4))
-        gx[:, 0, 0] = 1.0
-        gx[:, 0, 2] = ts
-        gx[:, 1, 1] = 1.0
-        gx[:, 1, 3] = ts
+        gx = np.empty((n, 4, 4))  # fresh per call: callers may keep a Jacobian
+        gx[:] = gx_const
         gx[:, 2, 1] = ts * dxacc_dth
-        gx[:, 2, 2] = 1.0
         gx[:, 2, 3] = ts * (mpll * db1_dom * invdet)
         gx[:, 3, 1] = ts * dthacc_dth
         gx[:, 3, 3] = 1.0 + ts * (mpl * c * db1_dom * invdet)
@@ -209,7 +208,7 @@ def lockstep(X, horizon: int, advance, carry: tuple = ()) -> Lockstep:
             X, carry, flag = advance(X, *carry)
             t += 1
             # squared-norm test: overflow to inf and NaN both fail `<=`
-            bad = ~((X * X).sum(axis=1) <= blow2)
+            bad = ~(np.vecdot(X, X) <= blow2)
             stop = bad if flag is None else bad | flag
             if stop.any():
                 ended = act[stop]
@@ -271,7 +270,7 @@ def rollout_cost_batch(
     sq = np.sqrt(gamma)
 
     def advance(X, tot, *Ks):
-        u = (Ks[0] @ X[:, :, None])[:, :, 0] if Ks else X @ Kt
+        u = np.vecdot(Ks[0], X[:, None, :]) if Ks else X @ Kt
         tot += cost.stage(X, u)
         X = sq * np.asarray(sys.step(X, u), dtype=float)
         return X, (tot, *Ks), tot > rollout_cap

@@ -112,6 +112,4 @@ class CostSpec:
         """Stage cost, batched over any leading axes of x and u."""
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        return np.einsum("...i,ij,...j->...", x, self.Q, x) + np.einsum(
-            "...a,ab,...b->...", u, self.R, u
-        )
+        return np.vecdot(x, x @ self.Q) + np.vecdot(u, u @ self.R)

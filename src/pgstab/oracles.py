@@ -148,6 +148,14 @@ def eps_grad_sensitivity(
     exact (machine-precision) gradient of the Monte-Carlo objective for the
     drawn initial states; no smoothing bias, no cost capping.  Rollouts that
     diverge are dropped and counted; if all diverge, raises ``DivergedAllError``.
+
+    Each step is the chain rule of ``x'Qx + u'Ru`` with ``u = K x`` and
+    ``x' = sqrt(gamma) G(x, u)``.  From ``S_0 = 0``, with
+    ``U_t = d u_t / d K = K S_t + I (x) x_t'`` (``I (x) x_t'`` holds ``x_t'``
+    in block ``a`` of row ``a``: input ``a`` reads row ``a`` of ``K``):
+
+        grad += 2 (Q x_t)' S_t + 2 (R u_t)' U_t
+        S_{t+1} = sqrt(gamma) (G_x S_t + G_u U_t)
     """
     K = np.asarray(K, dtype=float)
     d_x, d_u = sys.d_x, sys.d_u
@@ -162,14 +170,16 @@ def eps_grad_sensitivity(
         u = X @ Kt
         qx = X @ Q
         ru = u @ R
-        costs += (X * qx).sum(axis=1) + (u * ru).sum(axis=1)
-        w = 2.0 * (qx + ru @ K)  # d(stage)/dx pulled back through u = Kx
-        G += (w[:, None, :] @ S)[:, 0, :]
-        G += 2.0 * (ru[:, :, None] * X[:, None, :]).reshape(-1, p)
+        costs += np.vecdot(X, qx) + np.vecdot(u, ru)
+        U = np.einsum("aj,njp->nap", K, S)  # U = d u / d K, laid out as S
+        for a in range(d_u):
+            U[:, a, a * d_x : (a + 1) * d_x] += X
+        G += 2.0 * (np.einsum("ni,nip->np", qx, S) + np.einsum("na,nap->np", ru, U))
         xn, gx, gu = sys.step_jac(X, u)
-        t_cl = gx + gu @ K
-        direct = (gu[:, :, :, None] * X[:, None, None, :]).reshape(-1, d_x, p)
-        return sq * xn, (sq * (t_cl @ S + direct), G, costs), None
+        S = gx @ S
+        S += gu @ U
+        S *= sq
+        return sq * xn, (S, G, costs), None
 
     n = cfg.n_rollouts
     carry = (np.zeros((n, d_x, p)), np.zeros((n, p)), np.zeros(n))

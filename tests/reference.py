@@ -5,8 +5,9 @@ batched or closed form: the seeded draws of an oracle query made one rollout
 at a time, a single damped rollout stepped one state at a time, a
 generic two-point gradient estimator driven by an arbitrary objective, the
 two discount searches as separate loops, the discounted Riccati equation
-solved by plain value iteration, and the residual of a discrete Lyapunov
-solution.
+solved by plain value iteration, the residual of a discrete Lyapunov
+solution, and the forward-sensitivity gradient stepped through the
+closed-loop Jacobian.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from pgstab.anneal import BudgetExceededError, SearchBracket
-from pgstab.dynamics import BLOWUP_FACTOR, NonlinearSystem
+from pgstab.dynamics import BLOWUP_FACTOR, NonlinearSystem, lockstep
 from pgstab.matops import (
     DARE_DIVERGENCE_BOUND,
     DARE_REL_TOL,
@@ -26,7 +27,7 @@ from pgstab.matops import (
     dlyap,
 )
 from pgstab.model import CostSpec, LinearSystem, check_gamma
-from pgstab.oracles import DivergedAllError, OracleConfig
+from pgstab.oracles import DivergedAllError, OracleConfig, initial_states
 
 
 def sphere_sample(rng: np.random.Generator, d: int, radius: float) -> np.ndarray:
@@ -208,6 +209,53 @@ def two_point_gradient(
         used=len(estimates),
         dropped=dropped,
     )
+
+
+def sensitivity_gradient_closed_loop(
+    sys: NonlinearSystem,
+    K: np.ndarray,
+    gamma: float,
+    cfg: OracleConfig,
+    cost: CostSpec,
+    query_index: int = 0,
+) -> tuple[float, np.ndarray, int]:
+    """``(value, gradient, dropped)`` of ``eps_grad_sensitivity``, stepping
+    ``S`` through the closed-loop Jacobian ``G_x + G_u K``.
+
+    The stage cost is pulled back to the state through ``u = K x``, and the
+    explicit dependence of ``u`` on ``K`` enters as the outer products
+    ``(R u) x'`` and ``G_u x'``:
+
+        grad += 2 (Q x + K'R u)' S + 2 (R u) x'
+        S' = sqrt(gamma) ((G_x + G_u K) S + G_u (I (x) x'))
+    """
+    K = np.asarray(K, dtype=float)
+    d_x, d_u = sys.d_x, sys.d_u
+    p = d_u * d_x
+    sq = np.sqrt(gamma)
+    Q, R = cost.Q, cost.R
+
+    def advance(X, S, G, costs):
+        u = X @ K.T
+        qx = X @ Q
+        ru = u @ R
+        costs += (X * qx).sum(axis=1) + (u * ru).sum(axis=1)
+        w = 2.0 * (qx + ru @ K)
+        G += (w[:, None, :] @ S)[:, 0, :]
+        G += 2.0 * (ru[:, :, None] * X[:, None, :]).reshape(-1, p)
+        xn, gx, gu = sys.step_jac(X, u)
+        t_cl = gx + gu @ K
+        direct = (gu[:, :, :, None] * X[:, None, None, :]).reshape(-1, d_x, p)
+        return sq * xn, (sq * (t_cl @ S + direct), G, costs), None
+
+    n = cfg.n_rollouts
+    carry = (np.zeros((n, d_x, p)), np.zeros((n, p)), np.zeros(n))
+    run = lockstep(initial_states(cfg, d_x, query_index), cfg.horizon, advance, carry)
+    kept = ~run.diverged
+    scale = d_x / cfg.radius**2
+    G, costs = run.carry[1][kept], run.carry[2][kept]
+    grad = scale * G.mean(axis=0).reshape(d_u, d_x)
+    return float(scale * costs.mean()), grad, int(n - kept.sum())
 
 
 def binary_search_gamma_loop(

@@ -297,6 +297,21 @@ def test_cli_parses_flags_where_they_are_read():
         ("roa", {"gain": [[0.0, 0.0, 0.0, 0.0]], "directons": 8}, "directons"),
         ("counterexample", {"gama": 0.5}, "gama"),
         ("baseline-lqr", {"roa": {"horizn": 10}}, "horizn"),
+        # a system kind refuses the keys it does not read
+        (
+            "roa",
+            {**ROA_GAIN, "system": {"kind": "cartpole", "A": [[2.0]], "B": [[1.0]]}},
+            "A",
+        ),
+        ("roa", {**ROA_GAIN, "system": {"kind": "cartpole", "B": [[1.0]]}}, "B"),
+        (
+            "roa",
+            {
+                "gain": [[0.0]],
+                "system": {"kind": "linear", "A": [[0.5]], "B": [[1.0]], "params": {}},
+            },
+            "params",
+        ),
     ],
 )
 def test_cli_refuses_unknown_config_keys(tmp_path, capsys, command, config, key):

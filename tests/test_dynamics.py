@@ -95,6 +95,36 @@ def test_cartpole_fused_step_jac_agrees():
         assert np.array_equal(gu[i], gu1[0])
 
 
+def test_cartpole_step_jac_returns_fresh_arrays():
+    # the constant Jacobian entries come from one template; no call may hand
+    # out a buffer that a later call overwrites
+    sys = cartpole()
+    lin = jacobian_linearization(sys)
+    a_lin = lin.A.copy()
+    rng = np.random.default_rng(36)
+    xs, us = rng.normal(size=(5, 4)), rng.normal(size=(5, 1))
+    _, gx, gu = sys.step_jac(xs, us)
+    gx_first, gu_first = gx.copy(), gu.copy()
+    sys.step_jac(rng.normal(size=(5, 4)), rng.normal(size=(5, 1)))
+    assert np.array_equal(gx, gx_first)
+    assert np.array_equal(gu, gu_first)
+    assert np.array_equal(lin.A, a_lin)
+
+
+@pytest.mark.parametrize("lead", [(), (7,), (5, 3)], ids=["single", "batch", "batch2"])
+def test_cost_stage_matches_einsum(lead):
+    rng = np.random.default_rng(37)
+    mq, mr = rng.normal(size=(4, 4)), rng.normal(size=(2, 2))
+    cost = CostSpec(mq @ mq.T + 0.5 * np.eye(4), mr @ mr.T + 0.5 * np.eye(2))
+    x, u = rng.normal(size=lead + (4,)), rng.normal(size=lead + (2,))
+    expected = np.einsum("...i,ij,...j->...", x, cost.Q, x) + np.einsum(
+        "...a,ab,...b->...", u, cost.R, u
+    )
+    got = cost.stage(x, u)
+    assert np.shape(got) == lead
+    assert np.allclose(got, expected, rtol=1e-14, atol=0.0)
+
+
 def test_cartpole_linearization_frozen():
     # unity parameters, ts = 0.05: upright equilibrium is open-loop unstable
     lin = jacobian_linearization(cartpole())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from reference import (
     initial_states_loop,
+    sensitivity_gradient_closed_loop,
     sphere_sample,
     two_point_gradient,
     zeroth_order_draws_loop,
@@ -12,7 +13,7 @@ from reference import (
 from pgstab import oracles
 from pgstab.dynamics import NonlinearSystem, cartpole, linear_as_nonlinear, rollout_cost_batch
 from pgstab.lqr import lqr_cost, lqr_grad
-from pgstab.matops import spectral_radius
+from pgstab.matops import solve_dare, spectral_radius
 from pgstab.model import CostSpec, LinearSystem
 from pgstab.oracles import (
     DivergedAllError,
@@ -250,6 +251,109 @@ def test_sensitivity_gradient_is_exact_for_sampled_objective():
     assert rel <= 1e-5
     assert res.value == pytest.approx(
         sampled_objective(sys, k, gamma, cfg, cost, 3), rel=1e-12
+    )
+
+
+A2 = np.array([[1.05, 0.2, 0.0], [0.0, 0.95, 0.3], [0.1, 0.0, 1.02]])
+B2 = np.array([[1.0, 0.0], [0.3, 0.5], [0.0, 1.0]])
+
+
+def two_input_system():
+    """x' = A x + B u + 0.1 tanh(x) + 0.05 u_0 x: 3 states, 2 inputs, with the
+    state and input Jacobians both depending on (x, u)."""
+
+    def step(x, u):
+        x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+        return x @ A2.T + u @ B2.T + 0.1 * np.tanh(x) + 0.05 * u[..., :1] * x
+
+    def step_jac(x, u):
+        n = x.shape[0]
+        gx = np.broadcast_to(A2, (n, 3, 3)).copy()
+        gx += (0.1 / np.cosh(x) ** 2)[:, :, None] * np.eye(3)
+        gx += 0.05 * u[:, 0, None, None] * np.eye(3)
+        gu = np.broadcast_to(B2, (n, 3, 2)).copy()
+        gu[:, :, 0] += 0.05 * x
+        return step(x, u), gx, gu
+
+    return NonlinearSystem(d_x=3, d_u=2, step=step, step_jac=step_jac, name="two-input")
+
+
+COST3 = CostSpec(
+    np.array([[2.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 0.5]]),
+    np.array([[1.5, 0.4], [0.4, 0.7]]),
+)
+
+
+def two_input_gain(gamma):
+    """0.8 times the discounted LQR gain of the linearization at the origin:
+    stabilizing, and far enough from optimal that the gradient is not small."""
+    lin = LinearSystem(A2 + 0.1 * np.eye(3), B2)
+    return 0.8 * solve_dare(lin, COST3, gamma)[1]
+
+
+def test_two_input_system_jacobian_matches_finite_differences():
+    sys = two_input_system()
+    rng = np.random.default_rng(38)
+    x, u = rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
+    _, gx, gu = sys.step_jac(x, u)
+    eps = 1e-6
+    for j in range(3):
+        e = eps * np.eye(3)[j]
+        fd = (sys.step(x + e, u) - sys.step(x - e, u)) / (2 * eps)
+        assert np.allclose(gx[:, :, j], fd, rtol=0, atol=1e-8)
+    for a in range(2):
+        e = eps * np.eye(2)[a]
+        fd = (sys.step(x, u + e) - sys.step(x, u - e)) / (2 * eps)
+        assert np.allclose(gu[:, :, a], fd, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "sys, cost, k, cfg",
+    [
+        # cart-pole at the criterion-7 oracle shape, on a shorter horizon
+        (
+            cartpole(),
+            CostSpec.identity(4, 1),
+            np.array([[0.8, -8.0, 3.2, -7.0]]),
+            OracleConfig(n_rollouts=1000, horizon=60, radius=0.1, seed=21),
+        ),
+        (
+            two_input_system(),
+            COST3,
+            two_input_gain(0.9),
+            OracleConfig(n_rollouts=40, horizon=80, radius=1.0, seed=22),
+        ),
+    ],
+    ids=["cartpole", "two-input"],
+)
+def test_sensitivity_step_matches_closed_loop_reference(sys, cost, k, cfg):
+    res = eps_grad_sensitivity(sys, k, 0.9, cfg, cost, query_index=4)
+    value, grad, dropped = sensitivity_gradient_closed_loop(sys, k, 0.9, cfg, cost, 4)
+    assert res.dropped == dropped == 0
+    assert np.linalg.norm(res.gradient - grad) <= 1e-12 * np.linalg.norm(grad)
+    assert res.value == pytest.approx(value, rel=1e-12)
+
+
+def test_sensitivity_gradient_is_exact_for_two_input_system():
+    # d_u > 1 and Q, R not the identity: every block of d u / d K is exercised
+    sys = two_input_system()
+    gamma = 0.9
+    k = two_input_gain(gamma)
+    cfg = OracleConfig(n_rollouts=16, horizon=60, radius=1.0, seed=23)
+    res = eps_grad_sensitivity(sys, k, gamma, cfg, COST3, query_index=2)
+    eps = 1e-6
+    fd = np.zeros_like(k)
+    for a in range(2):
+        for b in range(3):
+            e = np.zeros_like(k)
+            e[a, b] = eps
+            fd[a, b] = (
+                sampled_objective(sys, k + e, gamma, cfg, COST3, 2)
+                - sampled_objective(sys, k - e, gamma, cfg, COST3, 2)
+            ) / (2 * eps)
+    assert np.linalg.norm(res.gradient - fd) <= 1e-7 * np.linalg.norm(fd)
+    assert res.value == pytest.approx(
+        sampled_objective(sys, k, gamma, cfg, COST3, 2), rel=1e-12
     )
 
 
