@@ -64,142 +64,30 @@ class AdamOptimizer:
         return self.learning_rate * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
-# Fixed-step mode gives up after GUARD_WINDOW consecutive cost estimates that
-# are capped, not finite, or above GUARD_FACTOR times the first estimate.
+# The sampled inner loop gives up after GUARD_WINDOW consecutive cost
+# estimates that are capped, not finite, or above GUARD_FACTOR times the first.
 GUARD_WINDOW = 5
 GUARD_FACTOR = 10.0
 
 
 @dataclass
-class PgConfig:
-    """Inner-loop settings.
-
-    ``target_gap`` set means gap mode: iterate until the measured cost is
-    within ``target_gap`` of ``optimal_cost`` (requires an objective that
-    knows its optimum).  ``target_gap=None`` means fixed-step mode: run
-    exactly ``max_steps`` gradient steps and keep the best measured iterate.
-    """
-
-    optimizer: str = "adam"  # "adam" | "gd"
-    learning_rate: float | None = None
-    max_steps: int = 200
-    target_gap: float | None = None
-
-
-@dataclass
-class PgObjective:
-    """What the inner loop sees: gradient and capped-cost queries.
-
-    ``grad_fn(K) -> (gradient, cost estimate, capped)`` and
-    ``eval_fn(K) -> (cost estimate, capped)``; estimates are finite floats
-    (infinite exact costs arrive as ``inf`` with ``capped=True``).  Gap mode
-    reads only the gradient from ``grad_fn`` and measures costs with
-    ``eval_fn``, so an exact objective returns ``nan`` as its cost estimate
-    there rather than solving for a value nobody reads.
-    """
-
-    grad_fn: Callable[[np.ndarray], tuple[np.ndarray, float, bool]]
-    eval_fn: Callable[[np.ndarray], tuple[float, bool]]
-    optimal_cost: float | None = None
-
-
-@dataclass
 class PgResult:
+    """One inner solve: the returned gain, the steps taken, the cost measured
+    at each step (the start's first), the measured cost of the returned gain,
+    and the optimal cost at the discount when the oracle knows it."""
+
     gain: np.ndarray
     steps: int
     costs: list[float]
+    cost: float
+    optimal_cost: float | None = None
 
 
-def policy_gradient(
-    objective: PgObjective, K0: np.ndarray, cfg: PgConfig
-) -> PgResult:
-    """Minimize the objective from K0 by first-order queries.
-
-    Gap mode runs backtracking gradient descent on exact queries until the
-    certified gap to ``objective.optimal_cost`` is at most ``target_gap``.
-    Fixed-step mode runs ``max_steps`` optimizer updates on (noisy) gradient
-    queries and returns the best iterate by measured cost; five consecutive
-    capped or guard-breaking cost estimates raise ``InnerDivergedError``.
-    """
-    K0 = np.asarray(K0, dtype=float)
-    if cfg.target_gap is not None:
-        if objective.optimal_cost is None:
-            raise ValueError("gap mode needs an objective with a known optimum")
-        return _pg_gap_mode(objective, K0, cfg)
-    return _pg_fixed_steps(objective, K0, cfg)
-
-
-def _pg_gap_mode(objective: PgObjective, K0, cfg: PgConfig) -> PgResult:
-    j0, capped = objective.eval_fn(K0)
-    if capped or not np.isfinite(j0):
-        raise ValueError("objective is not finite at the initial gain")
-    best_k, best_j = K0.copy(), j0
-    eta = cfg.learning_rate or 1e-2
-    costs = [j0]
-    steps = 0
-    while steps < cfg.max_steps:
-        if best_j - objective.optimal_cost <= cfg.target_gap:
-            break
-        grad, _, _ = objective.grad_fn(best_k)
-        accepted = False
-        for _ in range(80):
-            trial = best_k - eta * grad
-            jt, capped_t = objective.eval_fn(trial)
-            if np.isfinite(jt) and not capped_t and jt < best_j:
-                best_k, best_j = trial, jt
-                eta *= 1.5
-                accepted = True
-                break
-            eta *= 0.5
-        steps += 1
-        costs.append(best_j)
-        if not accepted:
-            raise InnerDivergedError(
-                f"line search stalled at cost {best_j:.6g} "
-                f"(gap {best_j - objective.optimal_cost:.3g} > {cfg.target_gap:.3g})"
-            )
-    else:
-        raise BudgetExceededError(
-            f"gap {best_j - objective.optimal_cost:.3g} not reached "
-            f"within {cfg.max_steps} gradient steps"
-        )
-    return PgResult(gain=best_k, steps=steps, costs=costs)
-
-
-def _pg_fixed_steps(objective: PgObjective, K0, cfg: PgConfig) -> PgResult:
-    if cfg.learning_rate is None:
-        raise ValueError("fixed-step mode needs an explicit learning rate")
-    opt = AdamOptimizer(cfg.learning_rate) if cfg.optimizer == "adam" else None
-    K = K0.copy()
-    best_k, best_j = None, np.inf
-    j_ref = None
-    costs: list[float] = []
-    bad_streak = 0
-    for _ in range(cfg.max_steps):
-        grad, value, capped = objective.grad_fn(K)
-        if j_ref is None:
-            if not np.isfinite(value):
-                raise ValueError("objective is not finite at the initial gain")
-            j_ref = value
-        costs.append(value)
-        bad = capped or not np.isfinite(value) or value > GUARD_FACTOR * j_ref
-        if bad:
-            bad_streak += 1
-            if bad_streak >= GUARD_WINDOW:
-                raise InnerDivergedError(
-                    f"cost estimate stayed capped or above "
-                    f"{GUARD_FACTOR:g}x the initial cost for "
-                    f"{GUARD_WINDOW} consecutive steps"
-                )
-        else:
-            bad_streak = 0
-            if value < best_j:
-                best_k, best_j = K.copy(), value
-        step = opt.update(grad) if opt is not None else cfg.learning_rate * grad
-        K = K - step
-    if best_k is None:
-        raise InnerDivergedError("no finite cost estimate observed")
-    return PgResult(gain=best_k, steps=cfg.max_steps, costs=costs)
+def policy_gradient(oracle, K0: np.ndarray, gamma: float) -> PgResult:
+    """Solve the problem damped by ``gamma`` from K0 by the oracle's own inner
+    loop (``_ExactOracle.solve`` or ``_SampledOracle.solve``).  It stays a
+    module function because perfbench wraps it to count inner steps."""
+    return oracle.solve(K0, gamma)
 
 
 @dataclass
@@ -302,7 +190,8 @@ class AnnealConfig:
     ``oracle`` set.  ``c2 - c1 > 1`` keeps the search window
     ``[(c1 + 0.25) J, (c2 - 0.75) J]`` nonempty.  The starting discount, the
     search method, its tolerance and its query budget are derived, not
-    configured (see ``discount_anneal``).
+    configured (see ``discount_anneal``).  ``pg_optimizer`` admits only
+    ``"adam"``; it stays a field because every config hash covers it.
     """
 
     oracle_mode: str = "exact"  # "exact" | "sampled"
@@ -322,7 +211,7 @@ class AnnealConfig:
             raise ValueError(f"unknown oracle_mode {self.oracle_mode!r}")
         if not (1.0 < self.c1 and self.c2 - self.c1 > 1.0):
             raise ValueError("need 1 < c1 and c2 - c1 > 1")
-        if self.pg_optimizer not in ("adam", "gd"):
+        if self.pg_optimizer != "adam":
             raise ValueError(f"unknown pg_optimizer {self.pg_optimizer!r}")
         if self.pg_steps < 0 or self.exact_max_steps < 0:
             raise ValueError("pg_steps and exact_max_steps must be nonnegative")
@@ -412,10 +301,16 @@ class _ExactOracle:
     """Cost/gradient queries answered by the exact solvers on (A, B)."""
 
     def __init__(
-        self, sys: LinearSystem, cost: CostSpec, eval_queries=0, grad_queries=0
+        self,
+        sys: LinearSystem,
+        cost: CostSpec,
+        cfg: AnnealConfig,
+        eval_queries: int = 0,
+        grad_queries: int = 0,
     ):
         self.sys = sys
         self.cost = cost
+        self.cfg = cfg
         self.eval_queries = eval_queries
         self.grad_queries = grad_queries
 
@@ -435,6 +330,41 @@ class _ExactOracle:
         self.grad_queries += 1
         return lqr_grad(self.sys, self.cost, K, gamma), np.nan, False
 
+    def solve(self, K0, gamma: float) -> PgResult:
+        """Backtracking gradient descent from K0 until the measured cost is
+        within d_x of the optimum at ``gamma``, in at most ``exact_max_steps``
+        steps; the first step size is ``learning_rate`` or 1e-2."""
+        optimal_cost = self.optimum(gamma)
+        target_gap = float(self.sys.d_x)
+        best_k = np.array(K0, dtype=float)
+        best_j, capped = self.evaluate(best_k, gamma)
+        if capped or not np.isfinite(best_j):
+            raise ValueError("the cost at the initial gain is not finite")
+        eta = self.cfg.learning_rate or 1e-2
+        costs = [best_j]
+        while best_j - optimal_cost > target_gap:
+            if len(costs) > self.cfg.exact_max_steps:
+                raise BudgetExceededError(
+                    f"gap {best_j - optimal_cost:.3g} not reached "
+                    f"within {self.cfg.exact_max_steps} gradient steps"
+                )
+            grad, _, _ = self.gradient(best_k, gamma)
+            for _ in range(80):
+                trial = best_k - eta * grad
+                jt, capped_t = self.evaluate(trial, gamma)
+                if np.isfinite(jt) and not capped_t and jt < best_j:
+                    best_k, best_j = trial, jt
+                    eta *= 1.5
+                    break
+                eta *= 0.5
+            else:
+                raise InnerDivergedError(
+                    f"line search stalled at cost {best_j:.6g} "
+                    f"(gap {best_j - optimal_cost:.3g} > {target_gap:.3g})"
+                )
+            costs.append(best_j)
+        return PgResult(best_k, len(costs) - 1, costs, best_j, optimal_cost)
+
 
 class _SampledOracle:
     """Cost/gradient queries answered by seeded Monte-Carlo rollouts; each
@@ -444,7 +374,7 @@ class _SampledOracle:
         self,
         sys: NonlinearSystem,
         cost: CostSpec,
-        cfg: oracles.OracleConfig,
+        cfg: AnnealConfig,
         eval_queries: int = 0,
         grad_queries: int = 0,
     ):
@@ -458,7 +388,7 @@ class _SampledOracle:
         idx = self.eval_queries + self.grad_queries
         self.eval_queries += 1
         res = oracles.eps_eval(
-            self.sys, K, gamma, self.cfg, self.cost, query_index=idx, cap=cap
+            self.sys, K, gamma, self.cfg.oracle, self.cost, query_index=idx, cap=cap
         )
         return res.value, res.capped
 
@@ -467,11 +397,44 @@ class _SampledOracle:
         self.grad_queries += 1
         estimator = (
             oracles.eps_grad_zeroth_order
-            if self.cfg.estimator == "zeroth"
+            if self.cfg.oracle.estimator == "zeroth"
             else oracles.eps_grad_sensitivity
         )
-        res = estimator(self.sys, K, gamma, self.cfg, self.cost, query_index=idx)
+        res = estimator(self.sys, K, gamma, self.cfg.oracle, self.cost, query_index=idx)
         return res.gradient, res.value, res.capped
+
+    def solve(self, K0, gamma: float) -> PgResult:
+        """``pg_steps`` Adam steps from K0 at the rate ``learning_rate`` or
+        ``0.01 / radius``; returns the iterate whose own gradient query
+        estimated the lowest cost.  GUARD_WINDOW consecutive estimates that
+        are capped, not finite or above GUARD_FACTOR times the first raise
+        ``InnerDivergedError``."""
+        opt = AdamOptimizer(self.cfg.learning_rate or 0.01 / self.cfg.oracle.radius)
+        K = np.array(K0, dtype=float)
+        best_k, best_j = None, np.inf
+        costs: list[float] = []
+        bad_streak = 0
+        for _ in range(self.cfg.pg_steps):
+            grad, value, capped = self.gradient(K, gamma)
+            if not costs and not np.isfinite(value):
+                raise ValueError("the cost at the initial gain is not finite")
+            costs.append(value)
+            if capped or not np.isfinite(value) or value > GUARD_FACTOR * costs[0]:
+                bad_streak += 1
+                if bad_streak >= GUARD_WINDOW:
+                    raise InnerDivergedError(
+                        f"cost estimate stayed capped or above "
+                        f"{GUARD_FACTOR:g}x the initial cost for "
+                        f"{GUARD_WINDOW} consecutive steps"
+                    )
+            else:
+                bad_streak = 0
+                if value < best_j:
+                    best_k, best_j = K.copy(), value
+            K = K - opt.update(grad)
+        if best_k is None:
+            raise InnerDivergedError("no finite cost estimate observed")
+        return PgResult(best_k, self.cfg.pg_steps, costs, best_j)
 
 
 def _write_manifest(cfg: AnnealConfig, state: AnnealState) -> None:
@@ -501,7 +464,10 @@ def discount_anneal(
     policy gradients, then searches [gamma_t, 1] for a discount at which the
     measured cost of the new gain has grown into the configured bracket.
     Once gamma reaches 1 a final policy-gradient solve runs undamped and the
-    resulting gain is returned together with the run state.
+    resulting gain is returned together with the run state.  Each solve is
+    one ``policy_gradient`` call, which runs the oracle's own inner loop:
+    ``_ExactOracle.solve`` descends to within d_x of the Riccati optimum,
+    ``_SampledOracle.solve`` runs ``pg_steps`` Adam steps.
 
     gamma_0 is ``min(1, 0.9 / ||A||^2)`` on the declared or linearized ``A``.
     Declared-linear systems are searched by bisection with evaluation
@@ -541,22 +507,11 @@ def discount_anneal(
         gamma0 = min(1.0, 0.9 / np.linalg.norm(lin.A, 2) ** 2)
         state = AnnealState(gamma0=gamma0)
 
-    exact = cfg.oracle_mode == "exact"
     counts = (state.eval_queries, state.grad_queries)
-    if exact:
-        oracle = _ExactOracle(lin, cost, *counts)
-        pg_cfg = PgConfig(
-            learning_rate=cfg.learning_rate,
-            max_steps=cfg.exact_max_steps,
-            target_gap=float(d_x),
-        )
+    if cfg.oracle_mode == "exact":
+        oracle = _ExactOracle(lin, cost, cfg, *counts)
     else:
-        oracle = _SampledOracle(sys, cost, cfg.oracle, *counts)
-        pg_cfg = PgConfig(
-            optimizer=cfg.pg_optimizer,
-            learning_rate=cfg.learning_rate or 0.01 / cfg.oracle.radius,
-            max_steps=cfg.pg_steps,
-        )
+        oracle = _SampledOracle(sys, cost, cfg, *counts)
 
     K = np.array(state.history[-1].gain) if state.history else np.zeros((d_u, d_x))
     while not state.done:
@@ -570,14 +525,9 @@ def discount_anneal(
         gamma_next = None
         transcript: list[dict] = []
         try:
-            objective = PgObjective(
-                grad_fn=lambda K: oracle.gradient(K, gamma),
-                eval_fn=lambda K: oracle.evaluate(K, gamma),
-                optimal_cost=oracle.optimum(gamma) if exact else None,
-            )
-            pg = policy_gradient(objective, K, pg_cfg)
+            pg = policy_gradient(oracle, K, gamma)
             K = pg.gain
-            j_hat = pg.costs[-1]
+            j_hat = pg.cost
             if not final:
                 j_hat, j_capped = oracle.evaluate(K, gamma)
                 if j_capped or not np.isfinite(j_hat):
@@ -621,7 +571,7 @@ def discount_anneal(
                 inner_steps=pg.steps,
                 cost_start=pg.costs[0],
                 cost_end=j_hat,
-                optimal_cost=objective.optimal_cost,
+                optimal_cost=pg.optimal_cost,
                 search_transcript=transcript,
                 gain=K.tolist(),
             )

@@ -317,7 +317,6 @@ def run_cartpole(cfg: CartpoleBenchConfig) -> dict:
                 seed=seed_ij,
                 oracle=oracle_cfg,
                 pg_steps=cfg.pg_steps,
-                pg_optimizer="adam",
                 learning_rate=cfg.learning_rate,
                 max_outer=cfg.max_outer,
             )

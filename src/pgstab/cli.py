@@ -76,16 +76,20 @@ _NESTED_KEYS = {
     "params": _fields(CartPoleParams),
 }
 _SYSTEM_KEYS = {"cartpole": {"kind", "params"}, "linear": {"kind", "A", "B"}}
+_OBJECT_KEYS = {"system", *_NESTED_KEYS}
 
 
 def _check_keys(cfg: dict, accepted: set[str], where: str) -> None:
-    """Refuse any config key the command would otherwise silently ignore."""
+    """Refuse any config key the command would otherwise silently ignore, and
+    any value of ``system``, ``roa`` or ``params`` that is not an object."""
     for key, value in cfg.items():
         if key not in accepted:
             raise ValueError(
                 f"unknown config key {where}{key!r}; accepted: {sorted(accepted)}"
             )
-        if key in _NESTED_KEYS and isinstance(value, dict):
+        if key in _OBJECT_KEYS and not isinstance(value, dict):
+            raise ValueError(f"config key {where}{key!r} must be a JSON object")
+        if key in _NESTED_KEYS:
             _check_keys(value, _NESTED_KEYS[key], f"{where}{key}.")
 
 

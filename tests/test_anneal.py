@@ -20,43 +20,22 @@ from pgstab.anneal import (
     BudgetExceededError,
     InnerDivergedError,
     IterationRecord,
-    PgConfig,
-    PgObjective,
     SearchBracket,
     _ExactOracle,
+    _SampledOracle,
     binary_search_gamma,
     config_hash,
     discount_anneal,
-    policy_gradient,
     random_search_gamma,
 )
 from pgstab.dynamics import NonlinearSystem, jacobian_linearization, linear_as_nonlinear
-from pgstab.lqr import lqr_cost, lqr_grad
+from pgstab.lqr import lqr_grad
 from pgstab.matops import UnstableError, solve_dare, spectral_radius
 from pgstab.model import CostSpec, LinearSystem
 from pgstab.oracles import DivergedAllError, OracleConfig
 
 SYS = LinearSystem(np.array([[1.1, 0.5], [0.0, 0.7]]), np.array([[0.0], [1.0]]))
 COST = CostSpec.identity(2, 1)
-
-
-def exact_objective(sys, cost, gamma):
-    """Exact cost/gradient queries plus the known optimum at this discount."""
-    p_star, _ = solve_dare(sys, cost, gamma)
-
-    def eval_fn(k):
-        try:
-            return lqr_cost(sys, cost, k, gamma), False
-        except UnstableError:
-            return np.inf, True
-
-    def grad_fn(k):
-        value, capped = eval_fn(k)
-        return lqr_grad(sys, cost, k, gamma), value, capped
-
-    return PgObjective(
-        grad_fn=grad_fn, eval_fn=eval_fn, optimal_cost=float(np.trace(p_star))
-    )
 
 
 def test_adam_first_step_has_learning_rate_magnitude():
@@ -76,96 +55,100 @@ def test_adam_minimizes_quadratic():
     assert np.linalg.norm(x - target) < 1e-3
 
 
+# gamma = 0.8 starts the zero gain about 70 above the optimum, well outside
+# the target gap d_x = 2
+GAMMA_FAR = 0.8
+
+
 def test_gap_mode_reaches_target_gap():
-    objective = exact_objective(SYS, COST, 0.5)
-    cfg = PgConfig(optimizer="gd", max_steps=10_000, target_gap=0.05)
-    res = policy_gradient(objective, np.zeros((1, 2)), cfg)
-    assert res.costs[-1] - objective.optimal_cost <= 0.05
-    assert res.steps == len(res.costs) - 1
+    oracle = _ExactOracle(SYS, COST, AnnealConfig())
+    res = oracle.solve(np.zeros((1, 2)), GAMMA_FAR)
+    assert res.costs[0] - res.optimal_cost > SYS.d_x
+    assert res.cost == res.costs[-1]
+    assert res.cost - res.optimal_cost <= SYS.d_x
+    assert res.steps == len(res.costs) - 1 == oracle.grad_queries
     # backtracking only ever accepts strict improvements
     assert all(b <= a for a, b in zip(res.costs, res.costs[1:]))
 
 
 def test_gap_mode_stops_immediately_at_optimum():
     gamma = 0.5
-    _, k_star = solve_dare(SYS, COST, gamma)
-    objective = exact_objective(SYS, COST, gamma)
-    cfg = PgConfig(optimizer="gd", max_steps=100, target_gap=1e-6)
-    res = policy_gradient(objective, k_star, cfg)
+    p_star, k_star = solve_dare(SYS, COST, gamma)
+    res = _ExactOracle(SYS, COST, AnnealConfig()).solve(k_star, gamma)
     assert res.steps == 0
     assert np.array_equal(res.gain, k_star)
-
-
-def test_gap_mode_requires_known_optimum():
-    objective = exact_objective(SYS, COST, 0.5)
-    objective.optimal_cost = None
-    cfg = PgConfig(optimizer="gd", max_steps=10, target_gap=1.0)
-    with pytest.raises(ValueError):
-        policy_gradient(objective, np.zeros((1, 2)), cfg)
+    assert res.optimal_cost == float(np.trace(p_star))
 
 
 def test_gap_mode_rejects_infinite_start():
     # undamped cost of the zero gain is infinite: rho(A) > 1
-    objective = exact_objective(SYS, COST, 1.0)
-    cfg = PgConfig(optimizer="gd", max_steps=10, target_gap=1.0)
+    oracle = _ExactOracle(SYS, COST, AnnealConfig())
     with pytest.raises(ValueError):
-        policy_gradient(objective, np.zeros((1, 2)), cfg)
+        oracle.solve(np.zeros((1, 2)), 1.0)
 
 
 def test_gap_mode_budget_error():
-    objective = exact_objective(SYS, COST, 0.5)
-    cfg = PgConfig(optimizer="gd", max_steps=2, target_gap=1e-9)
+    oracle = _ExactOracle(SYS, COST, AnnealConfig(exact_max_steps=2))
     with pytest.raises(BudgetExceededError):
-        policy_gradient(objective, np.zeros((1, 2)), cfg)
+        oracle.solve(np.zeros((1, 2)), GAMMA_FAR)
 
 
-def test_fixed_steps_requires_learning_rate():
-    objective = exact_objective(SYS, COST, 0.5)
-    cfg = PgConfig(optimizer="adam", max_steps=10, target_gap=None)
-    with pytest.raises(ValueError):
-        policy_gradient(objective, np.zeros((1, 2)), cfg)
+class SyntheticOracle(_SampledOracle):
+    """A sampled oracle whose gradient queries answer from ``grad_fn(K)``."""
+
+    def __init__(self, grad_fn, learning_rate: float, pg_steps: int):
+        cfg = AnnealConfig(
+            oracle_mode="sampled",
+            oracle=OracleConfig(),
+            learning_rate=learning_rate,
+            pg_steps=pg_steps,
+        )
+        super().__init__(None, None, cfg)
+        self.grad_fn = grad_fn
+
+    def gradient(self, K, gamma):
+        self.grad_queries += 1
+        return self.grad_fn(K)
 
 
-def quadratic_objective(target):
-    def eval_fn(k):
-        return float(((k - target) ** 2).sum()) + 1.0, False
-
+def quadratic_grad(target):
     def grad_fn(k):
-        value, capped = eval_fn(k)
-        return 2.0 * (k - target), value, capped
+        return 2.0 * (k - target), quadratic_value(k, target), False
 
-    return PgObjective(grad_fn=grad_fn, eval_fn=eval_fn)
+    return grad_fn
+
+
+def quadratic_value(k, target):
+    return float(((k - target) ** 2).sum()) + 1.0
 
 
 def test_fixed_steps_finds_quadratic_minimum():
     target = np.array([[0.3, -0.7]])
-    objective = quadratic_objective(target)
-    cfg = PgConfig(optimizer="adam", learning_rate=0.05, max_steps=400)
-    res = policy_gradient(objective, np.zeros((1, 2)), cfg)
+    oracle = SyntheticOracle(quadratic_grad(target), learning_rate=0.05, pg_steps=400)
+    res = oracle.solve(np.zeros((1, 2)), 1.0)
     assert res.steps == 400
     assert len(res.costs) == 400
     assert np.linalg.norm(res.gain - target) < 0.05
-    value, _ = objective.eval_fn(res.gain)
-    assert value == min(res.costs)
+    assert quadratic_value(res.gain, target) == min(res.costs) == res.cost
+    assert res.optimal_cost is None
 
 
 def test_fixed_steps_returns_best_measured_iterate():
     # gradient flips sign after a few calls, so later iterates walk away
     # from the minimum; the best measured one must still be returned
     target = np.array([[1.0, 0.0]])
-    base = quadratic_objective(target)
+    base = quadratic_grad(target)
     calls = {"n": 0}
 
     def flipping_grad(k):
-        grad, value, capped = base.grad_fn(k)
+        grad, value, capped = base(k)
         calls["n"] += 1
         return (grad if calls["n"] <= 10 else -grad), value, capped
 
-    objective = PgObjective(grad_fn=flipping_grad, eval_fn=base.eval_fn)
-    cfg = PgConfig(optimizer="gd", learning_rate=0.1, max_steps=25)
-    res = policy_gradient(objective, np.zeros((1, 2)), cfg)
-    value, _ = objective.eval_fn(res.gain)
-    assert value == min(res.costs)
+    oracle = SyntheticOracle(flipping_grad, learning_rate=0.1, pg_steps=25)
+    res = oracle.solve(np.zeros((1, 2)), 1.0)
+    value = quadratic_value(res.gain, target)
+    assert value == min(res.costs) == res.cost
     assert value < res.costs[-1]
 
 
@@ -173,10 +156,9 @@ def test_fixed_steps_guard_trips_on_capped_streak():
     def capped_grad(k):
         return np.zeros_like(k), 1.0, True
 
-    objective = PgObjective(grad_fn=capped_grad, eval_fn=lambda k: (1.0, True))
-    cfg = PgConfig(optimizer="gd", learning_rate=0.1, max_steps=50)
+    oracle = SyntheticOracle(capped_grad, learning_rate=0.1, pg_steps=50)
     with pytest.raises(InnerDivergedError):
-        policy_gradient(objective, np.zeros((1, 2)), cfg)
+        oracle.solve(np.zeros((1, 2)), 1.0)
 
 
 def test_fixed_steps_guard_resets_between_bad_steps():
@@ -186,9 +168,8 @@ def test_fixed_steps_guard_resets_between_bad_steps():
         calls["n"] += 1
         return np.zeros_like(k), 1.0, calls["n"] % 2 == 0
 
-    objective = PgObjective(grad_fn=alternating_grad, eval_fn=lambda k: (1.0, False))
-    cfg = PgConfig(optimizer="gd", learning_rate=0.1, max_steps=30)
-    res = policy_gradient(objective, np.zeros((1, 2)), cfg)
+    oracle = SyntheticOracle(alternating_grad, learning_rate=0.1, pg_steps=30)
+    res = oracle.solve(np.zeros((1, 2)), 1.0)
     assert res.steps == 30
 
 
@@ -196,10 +177,9 @@ def test_fixed_steps_rejects_infinite_start():
     def bad_grad(k):
         return np.zeros_like(k), np.inf, True
 
-    objective = PgObjective(grad_fn=bad_grad, eval_fn=lambda k: (np.inf, True))
-    cfg = PgConfig(optimizer="gd", learning_rate=0.1, max_steps=10)
+    oracle = SyntheticOracle(bad_grad, learning_rate=0.1, pg_steps=10)
     with pytest.raises(ValueError):
-        policy_gradient(objective, np.zeros((1, 2)), cfg)
+        oracle.solve(np.zeros((1, 2)), 1.0)
 
 
 def test_search_bracket_validation():
@@ -404,6 +384,8 @@ def test_pg_config_validation():
     with pytest.raises(ValueError):
         AnnealConfig(pg_optimizer="sgd")
     with pytest.raises(ValueError):
+        AnnealConfig(pg_optimizer="gd")
+    with pytest.raises(ValueError):
         AnnealConfig(pg_steps=-1)
     with pytest.raises(ValueError):
         AnnealConfig(exact_max_steps=-1)
@@ -509,6 +491,19 @@ def test_anneal_easy_system_goes_straight_to_undamped():
     assert state.gammas == [1.0]
     assert state.outer_iterations == 1
     assert spectral_radius(easy.closed_loop(gain)) < 1.0
+
+
+def test_anneal_zero_step_budget_accepts_a_start_within_the_gap():
+    # the zero gain is within d_x of the optimum at gamma = 1, so the final
+    # solve needs no step and a budget of none is enough
+    easy = LinearSystem(0.3 * np.eye(2), np.array([[1.0], [0.0]]))
+    gain, state = discount_anneal(
+        linear_as_nonlinear(easy), cfg=AnnealConfig(exact_max_steps=0)
+    )
+    (rec,) = state.history
+    assert rec.inner_steps == 0 and state.grad_queries == 0
+    assert rec.cost_end - rec.optimal_cost <= easy.d_x
+    assert np.array_equal(gain, np.zeros((1, 2)))
 
 
 def test_anneal_random_search_also_works_on_linear():
@@ -646,6 +641,40 @@ def test_anneal_finished_manifest_resumes_without_queries(tmp_path, cfg):
     assert resumed.final_spectral_radius == fresh.final_spectral_radius
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """The result of every ``pgstab.anneal.policy_gradient`` call, recorded by
+    replacing the module attribute, the way perfbench's tracer wraps it."""
+    results = []
+    inner = pgstab.anneal.policy_gradient
+
+    def recording(*args, **kwargs):
+        results.append(inner(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(pgstab.anneal, "policy_gradient", recording)
+    return results
+
+
+@pytest.mark.parametrize(
+    "cfg", [AnnealConfig(), SAMPLED_50x100], ids=["exact", "sampled"]
+)
+def test_anneal_solves_once_per_outer_iteration_through_policy_gradient(solves, cfg):
+    # perfbench counts inner steps from the results of anneal.policy_gradient
+    gain, state = discount_anneal(linear_as_nonlinear(SYS), cfg=cfg)
+    assert len(solves) == state.outer_iterations
+    assert [pg.steps for pg in solves] == [rec.inner_steps for rec in state.history]
+    assert np.array_equal(solves[-1].gain, gain)
+
+
+def test_anneal_sampled_final_cost_is_the_returned_gains_estimate(solves):
+    _, state = discount_anneal(linear_as_nonlinear(SYS), cfg=SAMPLED_50x100)
+    final = solves[-1]
+    # the returned gain is the iterate with the lowest estimate, not the last
+    assert state.history[-1].cost_end == final.cost == min(final.costs)
+    assert final.cost < final.costs[-1]
+
+
 def test_anneal_sampled_manifest_is_strict_json(tmp_path):
     def refuse(token):
         raise ValueError(f"non-standard JSON token {token}")
@@ -720,7 +749,7 @@ def test_exact_gradient_query_solves_two_lyapunov_equations(monkeypatch):
     K = np.array([[-0.2, -0.9]])
     expected = lqr_grad(SYS, COST, K, 0.5)
     monkeypatch.setattr(pgstab.lqr, "dlyap", counting_dlyap)
-    oracle = _ExactOracle(SYS, COST)
+    oracle = _ExactOracle(SYS, COST, AnnealConfig())
     grad, value, capped = oracle.gradient(K, 0.5)
     assert len(solves) == 2
     assert np.array_equal(grad, expected)

@@ -197,6 +197,29 @@ def test_cli_roa_refuses_malformed_system_or_gain(tmp_path, capsys, config, name
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, config, named",
+    [
+        ("roa", {"system": [1, 2], "gain": [[0.0] * 4]}, "'system'"),
+        ("roa", {"system": {"params": [1]}, "gain": [[0.0] * 4]}, "system.'params'"),
+        ("roa", {"roa": [1], "gain": [[0.0] * 4]}, "'roa'"),
+        ("baseline-lqr", {"roa": 5}, "'roa'"),
+    ],
+    ids=["roa-system-list", "cartpole-params-list", "roa-list", "baseline-roa-number"],
+)
+def test_cli_refuses_config_value_that_is_not_an_object(
+    tmp_path, capsys, command, config, named
+):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert f"config key {named} must be a JSON object" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_missing_config_file_is_usage_error(tmp_path, capsys):
     rc = main(["counterexample", "--config", str(tmp_path / "nope.json")])
     assert rc == 2
