@@ -4,7 +4,7 @@ policy-gradient solves.
 The loop starts from a discount gamma_0 small enough that the zero gain is
 stable on the damped dynamics, solves the discounted problem to a fixed gap
 by policy gradients, then searches for the next discount at which the cost
-of the current gain grows by a constant factor (between ``c1`` and ``c2``).
+of the current gain grows by a constant factor (between ``C1`` and ``C2``).
 Repeating until gamma reaches 1 yields a stabilizing gain for the original
 system using only cost and gradient queries.
 """
@@ -49,8 +49,8 @@ class AdamOptimizer:
     BETA2 = 0.999
     EPS = 1e-8
 
-    def __init__(self, learning_rate: float):
-        self.learning_rate = learning_rate
+    def __init__(self, rate: float):
+        self.rate = rate
         self.m = 0.0
         self.v = 0.0
         self.t = 0
@@ -61,8 +61,13 @@ class AdamOptimizer:
         self.v = self.BETA2 * self.v + (1.0 - self.BETA2) * grad**2
         m_hat = self.m / (1.0 - self.BETA1**self.t)
         v_hat = self.v / (1.0 - self.BETA2**self.t)
-        return self.learning_rate * m_hat / (np.sqrt(v_hat) + self.EPS)
+        return self.rate * m_hat / (np.sqrt(v_hat) + self.EPS)
 
+
+# The paper's growth window: the next discount is searched for where the cost
+# of the new gain has grown by a factor between C1 and C2.
+C1 = 2.5
+C2 = 8.0
 
 # The sampled inner loop gives up after GUARD_WINDOW consecutive cost
 # estimates that are capped, not finite, or above GUARD_FACTOR times the first.
@@ -95,7 +100,7 @@ class SearchBracket:
     """Accept window for the discount search.
 
     ``f1_bar`` and ``f2_bar`` are the estimated lower/upper cost targets
-    (about ``c1`` and ``c2`` times the cost at the current discount) and
+    (about ``C1`` and ``C2`` times the cost at the current discount) and
     ``eps`` the evaluation tolerance used in the accept rule.
     """
 
@@ -186,21 +191,18 @@ class AnnealConfig:
 
     ``oracle_mode="exact"`` solves the inner problems against the Riccati /
     Lyapunov solvers on the (declared or linearized) system matrices;
-    ``"sampled"`` uses Monte-Carlo queries through the simulator and needs
-    ``oracle`` set.  ``c2 - c1 > 1`` keeps the search window
-    ``[(c1 + 0.25) J, (c2 - 0.75) J]`` nonempty.  The starting discount, the
-    search method, its tolerance and its query budget are derived, not
+    ``"sampled"`` uses Monte-Carlo queries through the simulator, needs
+    ``oracle`` set and at least one step in ``pg_steps``.  The growth window
+    ``C1``/``C2``, the inner step sizes, the starting discount, the search
+    method, its tolerance and its query budget are constants or derived, not
     configured (see ``discount_anneal``).  ``pg_optimizer`` admits only
-    ``"adam"``; it stays a field because every config hash covers it.
+    ``"adam"``; it stays a field because perfbench's workloads set it.
     """
 
     oracle_mode: str = "exact"  # "exact" | "sampled"
     seed: int = 0
-    c1: float = 2.5
-    c2: float = 8.0
     pg_steps: int = 200
     pg_optimizer: str = "adam"
-    learning_rate: float | None = None
     exact_max_steps: int = 100_000
     oracle: oracles.OracleConfig | None = None
     max_outer: int = 200
@@ -209,16 +211,12 @@ class AnnealConfig:
     def __post_init__(self):
         if self.oracle_mode not in ("exact", "sampled"):
             raise ValueError(f"unknown oracle_mode {self.oracle_mode!r}")
-        if not (1.0 < self.c1 and self.c2 - self.c1 > 1.0):
-            raise ValueError("need 1 < c1 and c2 - c1 > 1")
         if self.pg_optimizer != "adam":
             raise ValueError(f"unknown pg_optimizer {self.pg_optimizer!r}")
         if self.pg_steps < 0 or self.exact_max_steps < 0:
             raise ValueError("pg_steps and exact_max_steps must be nonnegative")
-        if self.learning_rate is not None and not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
-        if self.oracle_mode == "sampled" and self.oracle is None:
-            raise ValueError("sampled mode needs an OracleConfig")
+        if self.oracle_mode == "sampled" and (self.oracle is None or self.pg_steps < 1):
+            raise ValueError("sampled mode needs an OracleConfig and pg_steps >= 1")
 
 
 @dataclass
@@ -333,14 +331,14 @@ class _ExactOracle:
     def solve(self, K0, gamma: float) -> PgResult:
         """Backtracking gradient descent from K0 until the measured cost is
         within d_x of the optimum at ``gamma``, in at most ``exact_max_steps``
-        steps; the first step size is ``learning_rate`` or 1e-2."""
+        steps; the first step size is 1e-2."""
         optimal_cost = self.optimum(gamma)
         target_gap = float(self.sys.d_x)
         best_k = np.array(K0, dtype=float)
         best_j, capped = self.evaluate(best_k, gamma)
         if capped or not np.isfinite(best_j):
             raise ValueError("the cost at the initial gain is not finite")
-        eta = self.cfg.learning_rate or 1e-2
+        eta = 1e-2
         costs = [best_j]
         while best_j - optimal_cost > target_gap:
             if len(costs) > self.cfg.exact_max_steps:
@@ -404,12 +402,11 @@ class _SampledOracle:
         return res.gradient, res.value, res.capped
 
     def solve(self, K0, gamma: float) -> PgResult:
-        """``pg_steps`` Adam steps from K0 at the rate ``learning_rate`` or
-        ``0.01 / radius``; returns the iterate whose own gradient query
-        estimated the lowest cost.  GUARD_WINDOW consecutive estimates that
-        are capped, not finite or above GUARD_FACTOR times the first raise
-        ``InnerDivergedError``."""
-        opt = AdamOptimizer(self.cfg.learning_rate or 0.01 / self.cfg.oracle.radius)
+        """``pg_steps`` Adam steps from K0 at the rate ``0.01 / radius``;
+        returns the iterate whose own gradient query estimated the lowest
+        cost.  GUARD_WINDOW consecutive estimates that are capped, not finite
+        or above GUARD_FACTOR times the first raise ``InnerDivergedError``."""
+        opt = AdamOptimizer(0.01 / self.cfg.oracle.radius)
         K = np.array(K0, dtype=float)
         best_k, best_j = None, np.inf
         costs: list[float] = []
@@ -471,7 +468,7 @@ def discount_anneal(
 
     gamma_0 is ``min(1, 0.9 / ||A||^2)`` on the declared or linearized ``A``.
     Declared-linear systems are searched by bisection with evaluation
-    tolerance ``0.1 d_x`` and ``3 (ceil(4 ln max(e, c2 J)) + 10)`` queries for
+    tolerance ``0.1 d_x`` and ``3 (ceil(4 ln max(e, C2 J)) + 10)`` queries for
     a gain of cost J, others by seeded random search with ``0.01 d_x``.
 
     The returned gain is certified on the declared or linearized system:
@@ -487,6 +484,10 @@ def discount_anneal(
     d_x, d_u = sys.d_x, sys.d_u
     if cost is None:
         cost = CostSpec.identity(d_x, d_u)
+    if (cost.d_x, cost.d_u) != (d_x, d_u):
+        raise ValueError(
+            f"cost has (d_x, d_u) = {(cost.d_x, cost.d_u)}, the system {(d_x, d_u)}"
+        )
     if cost.min_eig() < 1.0 - 1e-12:
         raise ValueError(
             "annealing requires Q and R with smallest eigenvalue at least 1"
@@ -534,14 +535,14 @@ def discount_anneal(
                     raise InnerDivergedError(
                         f"cost estimate at gamma={gamma:g} is not finite after the inner solve"
                     )
-                depth = math.ceil(4.0 * math.log(max(math.e, cfg.c2 * j_hat)))
+                depth = math.ceil(4.0 * math.log(max(math.e, C2 * j_hat)))
                 bracket = SearchBracket(
-                    f1_bar=(cfg.c1 + 0.25) * j_hat,
-                    f2_bar=(cfg.c2 - 0.75) * j_hat,
+                    f1_bar=(C1 + 0.25) * j_hat,
+                    f2_bar=(C2 - 0.75) * j_hat,
                     eps=eps,
                     budget=3 * (depth + 10),
                 )
-                cap = cfg.c2 * j_hat + 2.0 * eps
+                cap = C2 * j_hat + 2.0 * eps
 
                 def evaluator(g: float) -> float:
                     value, capped = oracle.evaluate(K, g, cap=cap)

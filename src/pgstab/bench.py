@@ -73,19 +73,17 @@ def _converged_mask(
     horizon: int,
     targets: np.ndarray,
 ) -> np.ndarray:
-    """True per rollout if the undamped closed loop reaches ||x|| <= target."""
+    """True per rollout if the undamped closed loop reaches ||x|| <= target
+    within ``horizon`` steps.  The start itself is not tested: ``estimate_roa``
+    starts every row outside its target, since ``delta_conv < 1``."""
     Kt = np.asarray(K, dtype=float).T.copy()
-    X = np.array(x0s, dtype=float)
     tgt2 = np.asarray(targets, dtype=float) ** 2
-    conv = np.vecdot(X, X) <= tgt2
-    act = np.flatnonzero(~conv)
 
     def advance(X, tgt2):
         X = np.asarray(sys.step(X, X @ Kt), dtype=float)
         return X, (tgt2,), np.vecdot(X, X) <= tgt2  # NaN and inf fail `<=`
 
-    conv[act] = lockstep(X[act], horizon, advance, (tgt2[act],)).stopped
-    return conv
+    return lockstep(x0s, horizon, advance, (tgt2,)).stopped
 
 
 def estimate_roa(
@@ -183,6 +181,14 @@ class LinearSuiteConfig:
             raise ValueError("LinearSuiteConfig needs instances >= 1 and dims >= 1")
         if not self.modes or not set(self.modes) <= {"exact", "sampled"}:
             raise ValueError(f"modes must be 'exact' or 'sampled', got {self.modes}")
+        self.oracle(1.0, 0)  # OracleConfig's checks run here, before any instance
+
+    def oracle(self, radius: float, seed: int) -> oracles.OracleConfig:
+        """An instance's sampled oracle, with start radius ``radius``."""
+        return oracles.OracleConfig(
+            n_rollouts=self.n_rollouts, horizon=self.horizon, radius=radius,
+            seed=seed, estimator=self.estimator,
+        )
 
 
 def run_linear_suite(cfg: LinearSuiteConfig) -> list[dict]:
@@ -211,15 +217,7 @@ def run_linear_suite(cfg: LinearSuiteConfig) -> list[dict]:
                 seed=seed_i,
                 max_outer=cfg.max_outer,
                 oracle=(
-                    oracles.OracleConfig(
-                        n_rollouts=cfg.n_rollouts,
-                        horizon=cfg.horizon,
-                        radius=math.sqrt(d_x),
-                        seed=seed_i,
-                        estimator=cfg.estimator,
-                    )
-                    if mode == "sampled"
-                    else None
+                    cfg.oracle(math.sqrt(d_x), seed_i) if mode == "sampled" else None
                 ),
                 pg_steps=cfg.pg_steps,
             )
@@ -271,9 +269,8 @@ class CartpoleBenchConfig:
     seed: int = 0
     n_rollouts: int = 1000
     horizon: int = 400
-    pg_steps: int = 120
+    pg_steps: int = 120  # Adam steps per solve, at the rate 0.01 / radius
     estimator: str = "sensitivity"
-    learning_rate: float | None = None  # None -> 0.01 / radius
     max_outer: int = 30
     roa: RoaConfig = field(default_factory=RoaConfig)
     params: CartPoleParams = field(default_factory=CartPoleParams)
@@ -317,7 +314,6 @@ def run_cartpole(cfg: CartpoleBenchConfig) -> dict:
                 seed=seed_ij,
                 oracle=oracle_cfg,
                 pg_steps=cfg.pg_steps,
-                learning_rate=cfg.learning_rate,
                 max_outer=cfg.max_outer,
             )
             K_hat, state = discount_anneal(sys, cost, anneal_cfg)

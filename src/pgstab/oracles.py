@@ -46,8 +46,8 @@ class OracleConfig:
     def __post_init__(self):
         if self.n_rollouts < 1:
             raise ValueError("n_rollouts must be at least 1")
-        if self.horizon < 0:
-            raise ValueError("horizon must be nonnegative")
+        if self.horizon < 1:
+            raise ValueError("horizon must be at least 1")
         if self.radius <= 0 or self.smoothing_radius <= 0:
             raise ValueError("radius and smoothing_radius must be positive")
         if self.estimator not in ("sensitivity", "zeroth"):

@@ -94,13 +94,13 @@ def test_gap_mode_budget_error():
 
 
 class SyntheticOracle(_SampledOracle):
-    """A sampled oracle whose gradient queries answer from ``grad_fn(K)``."""
+    """A sampled oracle whose gradient queries answer from ``grad_fn(K)``;
+    its Adam rate ``0.01 / radius`` is ``learning_rate``."""
 
     def __init__(self, grad_fn, learning_rate: float, pg_steps: int):
         cfg = AnnealConfig(
             oracle_mode="sampled",
-            oracle=OracleConfig(),
-            learning_rate=learning_rate,
+            oracle=OracleConfig(radius=0.01 / learning_rate),
             pg_steps=pg_steps,
         )
         super().__init__(None, None, cfg)
@@ -367,15 +367,6 @@ def test_anneal_config_validation():
     with pytest.raises(ValueError):
         AnnealConfig(oracle_mode="analytic")
     with pytest.raises(ValueError):
-        AnnealConfig(c1=8.0, c2=2.5)
-    with pytest.raises(ValueError):
-        AnnealConfig(c1=0.5)
-    # the search window [(c1 + 0.25) J, (c2 - 0.75) J] is empty unless c2 - c1 > 1
-    for c2 in (2.5, 3.0):
-        with pytest.raises(ValueError, match=r"c2 - c1 > 1"):
-            AnnealConfig(c1=2.0, c2=c2)
-    AnnealConfig(c1=2.0, c2=3.01)
-    with pytest.raises(ValueError):
         AnnealConfig(oracle_mode="sampled")
 
 
@@ -389,19 +380,19 @@ def test_pg_config_validation():
         AnnealConfig(pg_steps=-1)
     with pytest.raises(ValueError):
         AnnealConfig(exact_max_steps=-1)
-    with pytest.raises(ValueError):
-        AnnealConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
-        AnnealConfig(learning_rate=-0.01)
+    # a sampled solve of no steps has no estimate to return
+    with pytest.raises(ValueError, match="pg_steps"):
+        AnnealConfig(oracle_mode="sampled", oracle=OracleConfig(), pg_steps=0)
 
 
 def test_config_hash_ignores_operational_fields():
     base = config_hash(AnnealConfig())
-    # pinned: exact manifests written by earlier versions keep resuming
-    assert base == "9a7800351e4ca1d2"
+    # pinned: it moved from 9a7800351e4ca1d2 when c1, c2 and learning_rate
+    # became constants, so manifests written before that are refused
+    assert base == "b2b65eb364ea8466"
     assert config_hash(AnnealConfig(max_outer=7, out_dir="/tmp/x")) == base
     assert config_hash(AnnealConfig(seed=1)) != base
-    assert config_hash(AnnealConfig(c2=7.0)) != base
+    assert config_hash(AnnealConfig(pg_steps=100)) != base
 
 
 def test_state_round_trips_through_json():
@@ -561,6 +552,21 @@ def test_anneal_requires_unit_cost_floor():
         discount_anneal(nls, cost=weak)
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [AnnealConfig(), AnnealConfig(oracle_mode="sampled", oracle=OracleConfig())],
+    ids=["exact", "sampled"],
+)
+def test_anneal_refuses_cost_of_other_dimensions(monkeypatch, cfg):
+    def no_solve(*args):
+        raise AssertionError("queried the oracle")
+
+    monkeypatch.setattr(pgstab.anneal, "policy_gradient", no_solve)
+    # refused before any query, with both shapes named: (d_x, d_u) is (2, 1)
+    with pytest.raises(ValueError, match=r"\(3, 1\).*\(2, 1\)"):
+        discount_anneal(linear_as_nonlinear(SYS), CostSpec.identity(3, 1), cfg)
+
+
 def test_anneal_budget_error_reports_iteration():
     nls = linear_as_nonlinear(SYS)
     with pytest.raises(BudgetExceededError) as excinfo:
@@ -685,8 +691,9 @@ def test_anneal_sampled_manifest_is_strict_json(tmp_path):
     )
     manifest = json.loads((out / "manifest.json").read_text(), parse_constant=refuse)
     # pinned: it moved from 79968d05fbac4e92 when the evaluation cap left
-    # OracleConfig, so sampled manifests written before that are refused
-    assert manifest["config_hash"] == config_hash(SAMPLED_50x100) == "0c0511624e6d615c"
+    # OracleConfig, and from 0c0511624e6d615c when c1, c2 and learning_rate
+    # became constants, so sampled manifests written before either are refused
+    assert manifest["config_hash"] == config_hash(SAMPLED_50x100) == "eb92e8f1b2c846d1"
 
 
 def test_anneal_resume_refuses_sampled_manifest_with_old_hash(tmp_path):
@@ -712,7 +719,7 @@ def test_anneal_resume_refuses_other_config(tmp_path):
         discount_anneal(nls, cfg=AnnealConfig(max_outer=1, out_dir=str(out)))
     with pytest.raises(ValueError, match="refusing to resume"):
         discount_anneal(
-            nls, cfg=AnnealConfig(c2=7.0), resume_from=out / "manifest.json"
+            nls, cfg=AnnealConfig(pg_steps=100), resume_from=out / "manifest.json"
         )
 
 
@@ -759,14 +766,9 @@ def test_exact_gradient_query_solves_two_lyapunov_equations(monkeypatch):
 
 def test_anneal_sampled_mode_stabilizes_linear_system():
     nls = linear_as_nonlinear(SYS)
-    oracle = OracleConfig(n_rollouts=150, horizon=200, radius=1.0, seed=0)
-    cfg = AnnealConfig(
-        oracle_mode="sampled",
-        oracle=oracle,
-        pg_steps=250,
-        learning_rate=0.02,
-        seed=0,
-    )
+    # radius 0.5 sets the Adam rate 0.01 / radius to 0.02
+    oracle = OracleConfig(n_rollouts=150, horizon=200, radius=0.5, seed=0)
+    cfg = AnnealConfig(oracle_mode="sampled", oracle=oracle, pg_steps=250, seed=0)
     gain, state = discount_anneal(nls, cfg=cfg)
     assert state.done
     assert spectral_radius(SYS.closed_loop(gain)) < 1.0

@@ -268,6 +268,7 @@ ROA_GAIN = {"gain": [[0.0, 0.0, 0.0, 0.0]]}
         ("anneal-linear", {"dims": []}, "dims"),
         ("anneal-linear", {"modes": []}, "modes"),
         ("anneal-linear", {"modes": ["analytic"]}, "modes"),
+        ("anneal-linear", {"instances": 1, "estimator": "spsa"}, "estimator"),
     ],
 )
 def test_cli_refuses_invalid_config_values(tmp_path, capsys, command, config, field):

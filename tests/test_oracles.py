@@ -512,6 +512,9 @@ def test_oracle_config_validation():
         OracleConfig(radius=0.0)
     with pytest.raises(ValueError):
         OracleConfig(estimator="spsa")
+    # a query of no steps has no cost to estimate
+    with pytest.raises(ValueError, match="horizon"):
+        OracleConfig(horizon=0)
     # the cap is refused where it is read, by the query it bounds
     sys_nl, cfg = linear_as_nonlinear(SYS), OracleConfig(n_rollouts=2, horizon=3)
     for cap in (-1.0, 0.0, np.nan):
