@@ -26,20 +26,21 @@ from .matops import UnstableError, solve_dare, spectral_radius
 from .model import CostSpec, LinearSystem, check_gamma
 
 
-class InnerDivergedError(RuntimeError):
+class AnnealError(RuntimeError):
+    """A failed annealing run; ``anneal_iteration`` is the outer iteration
+    where it failed."""
+
+    def __init__(self, message: str, iteration: int | None = None):
+        super().__init__(message)
+        self.anneal_iteration = iteration
+
+
+class InnerDivergedError(AnnealError):
     """The policy-gradient inner loop lost stability and could not recover."""
 
-    def __init__(self, message: str, iteration: int | None = None):
-        super().__init__(message)
-        self.anneal_iteration = iteration
 
-
-class BudgetExceededError(RuntimeError):
+class BudgetExceededError(AnnealError):
     """A search or the outer loop exhausted its query budget."""
-
-    def __init__(self, message: str, iteration: int | None = None):
-        super().__init__(message)
-        self.anneal_iteration = iteration
 
 
 class AdamOptimizer:
@@ -286,31 +287,32 @@ class AnnealState:
         return state
 
 
+_UNHASHED = {
+    "exact": ("max_outer", "out_dir", "pg_steps", "pg_optimizer", "oracle"),
+    "sampled": ("max_outer", "out_dir", "exact_max_steps"),
+}
+
+
 def config_hash(cfg: AnnealConfig) -> str:
-    """Hash of the fields that determine the run's trajectory.
+    """Hash of the fields that determine the run's trajectory in its mode.
 
     Operational fields (iteration cap, output directory) are excluded so an
     interrupted run can be resumed with a larger budget or a new location.
+    So are the fields the mode never reads: ``pg_steps``, ``pg_optimizer``
+    and ``oracle`` in exact mode, ``exact_max_steps`` in sampled mode.
     """
-    return files.digest(cfg, "max_outer", "out_dir")
+    return files.digest(cfg, *_UNHASHED[cfg.oracle_mode])
 
 
+@dataclass
 class _ExactOracle:
     """Cost/gradient queries answered by the exact solvers on (A, B)."""
 
-    def __init__(
-        self,
-        sys: LinearSystem,
-        cost: CostSpec,
-        cfg: AnnealConfig,
-        eval_queries: int = 0,
-        grad_queries: int = 0,
-    ):
-        self.sys = sys
-        self.cost = cost
-        self.cfg = cfg
-        self.eval_queries = eval_queries
-        self.grad_queries = grad_queries
+    sys: LinearSystem
+    cost: CostSpec
+    cfg: AnnealConfig
+    eval_queries: int = 0
+    grad_queries: int = 0
 
     def optimum(self, gamma: float) -> float:
         p_star, _ = solve_dare(self.sys, self.cost, gamma)
@@ -364,23 +366,16 @@ class _ExactOracle:
         return PgResult(best_k, len(costs) - 1, costs, best_j, optimal_cost)
 
 
+@dataclass
 class _SampledOracle:
     """Cost/gradient queries answered by seeded Monte-Carlo rollouts; each
     draws the noise substream numbered by the count of queries before it."""
 
-    def __init__(
-        self,
-        sys: NonlinearSystem,
-        cost: CostSpec,
-        cfg: AnnealConfig,
-        eval_queries: int = 0,
-        grad_queries: int = 0,
-    ):
-        self.sys = sys
-        self.cost = cost
-        self.cfg = cfg
-        self.eval_queries = eval_queries
-        self.grad_queries = grad_queries
+    sys: NonlinearSystem
+    cost: CostSpec
+    cfg: AnnealConfig
+    eval_queries: int = 0
+    grad_queries: int = 0
 
     def evaluate(self, K, gamma: float, cap: float = np.inf) -> tuple[float, bool]:
         idx = self.eval_queries + self.grad_queries
@@ -476,9 +471,14 @@ def discount_anneal(
     simulator-only system that is the local guarantee of the Jacobian
     linearization at the origin.
 
+    A failed inner solve or search raises an ``AnnealError``
+    (``InnerDivergedError`` or ``BudgetExceededError``) whose
+    ``anneal_iteration`` is the outer iteration that failed.
+
     ``resume_from`` continues the run a manifest holds, under the same
-    configuration hash.  A finished run resumes to its stored gain with no
-    oracle query, and goes through the same closing check.
+    ``config_hash``, which covers only the fields the oracle mode reads.  A
+    finished run resumes to its stored gain with no oracle query, and goes
+    through the same closing check.
     """
     cfg = cfg or AnnealConfig()
     d_x, d_u = sys.d_x, sys.d_u
@@ -560,7 +560,7 @@ def discount_anneal(
                     gamma_next = random_search_gamma(evaluator, gamma, bracket, rng)
                 if gamma_next > 1.0 - 1e-12:
                     gamma_next = 1.0
-        except (InnerDivergedError, BudgetExceededError) as exc:
+        except AnnealError as exc:
             exc.anneal_iteration = t
             raise
         except oracles.DivergedAllError as exc:

@@ -105,20 +105,13 @@ def estimate_roa(
 
     lo = np.zeros(cfg.directions)
     hi = np.full(cfg.directions, cfg.ceiling)
-    at_top = _converged_mask(
-        sys,
-        K,
-        cfg.ceiling * dirs,
-        cfg.horizon,
-        cfg.delta_conv * cfg.ceiling * np.ones(cfg.directions),
-    )
-    lo[at_top] = cfg.ceiling
-    open_dirs = np.flatnonzero(~at_top)
+    open_dirs = np.arange(cfg.directions)
     rounds = max(1, math.ceil(math.log2(cfg.ceiling / cfg.tol)))
-    for _ in range(rounds):
+    for r in range(rounds + 1):
         if open_dirs.size == 0:
             break
-        mid = 0.5 * (lo[open_dirs] + hi[open_dirs])
+        # round 0 probes the ceiling itself; the rounds after it bisect
+        mid = 0.5 * (lo[open_dirs] + hi[open_dirs]) if r else hi[open_dirs]
         conv = _converged_mask(
             sys,
             K,
@@ -181,14 +174,16 @@ class LinearSuiteConfig:
             raise ValueError("LinearSuiteConfig needs instances >= 1 and dims >= 1")
         if not self.modes or not set(self.modes) <= {"exact", "sampled"}:
             raise ValueError(f"modes must be 'exact' or 'sampled', got {self.modes}")
-        self.oracle(1.0, 0)  # OracleConfig's checks run here, before any instance
+        _oracle(self, 1.0, 0)  # OracleConfig's checks run here, before any instance
 
-    def oracle(self, radius: float, seed: int) -> oracles.OracleConfig:
-        """An instance's sampled oracle, with start radius ``radius``."""
-        return oracles.OracleConfig(
-            n_rollouts=self.n_rollouts, horizon=self.horizon, radius=radius,
-            seed=seed, estimator=self.estimator,
-        )
+
+def _oracle(cfg, radius: float, seed: int) -> oracles.OracleConfig:
+    """The sampled oracle of a suite config (``LinearSuiteConfig`` or
+    ``CartpoleBenchConfig``) at start radius ``radius``."""
+    return oracles.OracleConfig(
+        n_rollouts=cfg.n_rollouts, horizon=cfg.horizon, radius=radius,
+        seed=seed, estimator=cfg.estimator,
+    )
 
 
 def run_linear_suite(cfg: LinearSuiteConfig) -> list[dict]:
@@ -217,7 +212,7 @@ def run_linear_suite(cfg: LinearSuiteConfig) -> list[dict]:
                 seed=seed_i,
                 max_outer=cfg.max_outer,
                 oracle=(
-                    cfg.oracle(math.sqrt(d_x), seed_i) if mode == "sampled" else None
+                    _oracle(cfg, math.sqrt(d_x), seed_i) if mode == "sampled" else None
                 ),
                 pg_steps=cfg.pg_steps,
             )
@@ -243,7 +238,7 @@ def run_linear_suite(cfg: LinearSuiteConfig) -> list[dict]:
                         "max_search_queries": max(
                             (r.search_queries for r in state.history), default=0
                         ),
-                        "rho_closed_loop": spectral_radius(lin.closed_loop(K_hat)),
+                        "rho_closed_loop": state.final_spectral_radius,
                     }
                 )
             except Exception as exc:  # noqa: BLE001 - suite must keep going
@@ -280,6 +275,7 @@ class CartpoleBenchConfig:
         self.radii = tuple(self.radii)
         if not self.radii or self.trials < 1:
             raise ValueError("CartpoleBenchConfig needs radii and trials >= 1")
+        _oracle(self, 1.0, 0)  # OracleConfig's checks run here, before any trial
 
 
 def run_cartpole(cfg: CartpoleBenchConfig) -> dict:
@@ -302,13 +298,7 @@ def run_cartpole(cfg: CartpoleBenchConfig) -> dict:
             seed_ij = int(
                 np.random.SeedSequence(cfg.seed, spawn_key=(i, j)).generate_state(1)[0]
             )
-            oracle_cfg = oracles.OracleConfig(
-                n_rollouts=cfg.n_rollouts,
-                horizon=cfg.horizon,
-                radius=radius,
-                seed=seed_ij,
-                estimator=cfg.estimator,
-            )
+            oracle_cfg = _oracle(cfg, radius, seed_ij)
             anneal_cfg = AnnealConfig(
                 oracle_mode="sampled",
                 seed=seed_ij,

@@ -63,14 +63,7 @@ def _fields(cls) -> set[str]:
     return set(cls.__dataclass_fields__)
 
 
-# accepted config keys per subcommand, inside the nested objects and per system kind
-_CONFIG_KEYS = {
-    "anneal-linear": _fields(LinearSuiteConfig),
-    "anneal-cartpole": _fields(CartpoleBenchConfig),
-    "roa": {"system", "gain", "gain_file", "roa"},
-    "counterexample": {"gamma"},
-    "baseline-lqr": {"params", "roa"},
-}
+# accepted config keys inside the nested objects and per system kind
 _NESTED_KEYS = {
     "roa": _fields(RoaConfig),
     "params": _fields(CartPoleParams),
@@ -130,13 +123,7 @@ def _roa_config(args, cfg: dict) -> RoaConfig:
 
 def _cmd_roa(args, cfg: dict) -> dict:
     sys_obj = _system_from_spec(cfg.get("system", {}))
-    if "gain" in cfg:
-        gain = np.array(cfg["gain"], dtype=float)
-    elif "gain_file" in cfg:
-        gain = np.loadtxt(cfg["gain_file"], delimiter=",", ndmin=2)
-    else:
-        raise ValueError("roa needs 'gain' (matrix) or 'gain_file' (CSV) in the config")
-    report = estimate_roa(sys_obj, gain, _roa_config(args, cfg))
+    report = estimate_roa(sys_obj, cfg.get("gain"), _roa_config(args, cfg))
     if args.out is not None:
         files.write_json(Path(args.out) / "roa.json", report.to_dict())
     return {"rho_roa": report.rho_roa, "out_dir": args.out}
@@ -152,14 +139,6 @@ def _cmd_baseline_lqr(args, cfg: dict) -> dict:
     return run_lqr_baseline(params, _roa_config(args, cfg), out_dir=args.out)
 
 
-_COMMANDS = {
-    "anneal-linear": _cmd_anneal_linear,
-    "anneal-cartpole": _cmd_anneal_cartpole,
-    "roa": _cmd_roa,
-    "counterexample": _cmd_counterexample,
-    "baseline-lqr": _cmd_baseline_lqr,
-}
-
 _FLAGS = {
     "--seed": dict(type=int, help="master seed override"),
     "--oracle": dict(choices=("exact", "sampled"), help="oracle mode"),
@@ -168,13 +147,18 @@ _FLAGS = {
         help="gradient estimator for sampled oracles",
     ),
 }
-# the quick-override flags each subcommand reads
-_COMMAND_FLAGS = {
-    "anneal-linear": ("--seed", "--oracle", "--estimator"),
-    "anneal-cartpole": ("--seed", "--estimator"),
-    "roa": ("--seed",),
-    "counterexample": (),
-    "baseline-lqr": ("--seed",),
+# each subcommand: its function, the config keys it accepts and the
+# quick-override flags it reads
+_COMMANDS = {
+    "anneal-linear": (
+        _cmd_anneal_linear, _fields(LinearSuiteConfig), ("--seed", "--oracle", "--estimator")
+    ),
+    "anneal-cartpole": (
+        _cmd_anneal_cartpole, _fields(CartpoleBenchConfig), ("--seed", "--estimator")
+    ),
+    "roa": (_cmd_roa, {"system", "gain", "roa"}, ("--seed",)),
+    "counterexample": (_cmd_counterexample, {"gamma"}, ()),
+    "baseline-lqr": (_cmd_baseline_lqr, {"params", "roa"}, ("--seed",)),
 }
 
 
@@ -184,11 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stabilize systems by discount-annealed policy gradients.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, _, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out", default=None, help="output directory")
-        for flag in _COMMAND_FLAGS[name]:
+        for flag in flags:
             p.add_argument(flag, default=None, **_FLAGS[flag])
     return parser
 
@@ -197,9 +181,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        command, accepted, _ = _COMMANDS[args.command]
         cfg = _load_config(args.config)
-        _check_keys(cfg, _CONFIG_KEYS[args.command], "")
-        summary = _COMMANDS[args.command](args, cfg)
+        _check_keys(cfg, accepted, "")
+        summary = command(args, cfg)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         _sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import NonlinearSystem, lockstep, rollout_cost_batch
-from .model import CostSpec
+from .model import CostSpec, check_gamma
 
 
 class DivergedAllError(RuntimeError):
@@ -85,6 +85,16 @@ def _row_norms(z: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(z, z))[:, None]
 
 
+def _mean_stderr(samples: np.ndarray) -> tuple:
+    """Mean over the first axis and its standard error (``ddof=1``); the
+    error is 0 for a single sample."""
+    n = samples.shape[0]
+    mean = samples.mean(axis=0)
+    if n == 1:
+        return mean, np.zeros_like(mean)
+    return mean, samples.std(axis=0, ddof=1) / np.sqrt(n)
+
+
 def initial_states(cfg: OracleConfig, d_x: int, query_index: int) -> np.ndarray:
     """The N seeded initial states of a query, one per row of its stream:
     uniform on the sphere of radius ``cfg.radius``."""
@@ -117,18 +127,12 @@ def eps_eval(
     batch = rollout_cost_batch(
         sys, K, gamma, x0s, cfg.horizon, cost, rollout_cap=rollout_cap
     )
-    per_rollout = scale * batch.costs
-    estimate = float(per_rollout.mean())
-    stderr = (
-        float(per_rollout.std(ddof=1) / np.sqrt(cfg.n_rollouts))
-        if cfg.n_rollouts > 1
-        else 0.0
-    )
+    estimate, stderr = _mean_stderr(scale * batch.costs)
     capped = bool(batch.diverged.any() or batch.capped.any() or estimate >= cap)
     return QueryResult(
         value=float(min(estimate, cap)),
         gradient=None,
-        stderr=stderr,
+        stderr=float(stderr),
         capped=capped,
         rollouts_used=cfg.n_rollouts,
     )
@@ -157,6 +161,7 @@ def eps_grad_sensitivity(
         grad += 2 (Q x_t)' S_t + 2 (R u_t)' U_t
         S_{t+1} = sqrt(gamma) (G_x S_t + G_u U_t)
     """
+    check_gamma(gamma)
     K = np.asarray(K, dtype=float)
     d_x, d_u = sys.d_x, sys.d_u
     p = d_u * d_x
@@ -192,16 +197,11 @@ def eps_grad_sensitivity(
         raise DivergedAllError(
             f"all {n} sensitivity rollouts diverged at gamma={gamma:g}"
         )
-    grad = scale * G.mean(axis=0).reshape(d_u, d_x)
-    stderr = (
-        scale * G.std(axis=0, ddof=1).reshape(d_u, d_x) / np.sqrt(n_used)
-        if n_used > 1
-        else np.zeros_like(grad)
-    )
+    mean, stderr = _mean_stderr(G)
     return QueryResult(
         value=float(scale * costs.mean()),
-        gradient=grad,
-        stderr=stderr,
+        gradient=scale * mean.reshape(d_u, d_x),
+        stderr=scale * stderr.reshape(d_u, d_x),
         capped=dropped > 0,
         rollouts_used=n_used,
         dropped=dropped,
@@ -246,13 +246,7 @@ def eps_grad_zeroth_order(
     if used == 0:
         raise DivergedAllError("all two-point direction pairs were dropped")
     coeff = (d_k / (2.0 * r_s)) * (f_plus[valid] - f_minus[valid])
-    estimates = coeff[:, None, None] * dirs[valid]
-    grad = estimates.mean(axis=0)
-    stderr = (
-        estimates.std(axis=0, ddof=1) / np.sqrt(used)
-        if used > 1
-        else np.zeros_like(grad)
-    )
+    grad, stderr = _mean_stderr(coeff[:, None, None] * dirs[valid])
     return QueryResult(
         value=float(0.5 * (f_plus[valid] + f_minus[valid]).mean()),
         gradient=grad,

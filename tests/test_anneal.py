@@ -388,11 +388,18 @@ def test_pg_config_validation():
 def test_config_hash_ignores_operational_fields():
     base = config_hash(AnnealConfig())
     # pinned: it moved from 9a7800351e4ca1d2 when c1, c2 and learning_rate
-    # became constants, so manifests written before that are refused
-    assert base == "b2b65eb364ea8466"
+    # became constants, and from b2b65eb364ea8466 when the exact hash left out
+    # the fields exact mode never reads, so manifests written before are refused
+    assert base == "9b0c1b704c9f6080"
     assert config_hash(AnnealConfig(max_outer=7, out_dir="/tmp/x")) == base
     assert config_hash(AnnealConfig(seed=1)) != base
-    assert config_hash(AnnealConfig(pg_steps=100)) != base
+    assert config_hash(AnnealConfig(exact_max_steps=100)) != base
+    # nor does either mode hash the fields only the other mode reads
+    for unread in (dict(pg_steps=100), dict(oracle=OracleConfig(seed=5))):
+        assert config_hash(AnnealConfig(**unread)) == base, unread
+    sampled = config_hash(SAMPLED_50x100)
+    assert config_hash(replace(SAMPLED_50x100, exact_max_steps=3)) == sampled
+    assert config_hash(replace(SAMPLED_50x100, pg_steps=41)) != sampled
 
 
 def test_state_round_trips_through_json():
@@ -574,6 +581,14 @@ def test_anneal_budget_error_reports_iteration():
     assert excinfo.value.anneal_iteration == 1
 
 
+def test_anneal_tags_inner_budget_error_with_iteration():
+    # with no gradient step allowed, the zero gain passes the solve at gamma_0
+    # (it is within d_x of the optimum there) but not the one after the search
+    with pytest.raises(BudgetExceededError) as excinfo:
+        discount_anneal(linear_as_nonlinear(SYS), cfg=AnnealConfig(exact_max_steps=0))
+    assert excinfo.value.anneal_iteration == 1
+
+
 def test_anneal_tags_all_diverged_gradient_query_with_iteration():
     # x' = 0.5 x + 10 x^3 + u: the linearization is stable, so annealing
     # starts undamped at gamma = 1, but every rollout from radius 1 explodes
@@ -691,9 +706,10 @@ def test_anneal_sampled_manifest_is_strict_json(tmp_path):
     )
     manifest = json.loads((out / "manifest.json").read_text(), parse_constant=refuse)
     # pinned: it moved from 79968d05fbac4e92 when the evaluation cap left
-    # OracleConfig, and from 0c0511624e6d615c when c1, c2 and learning_rate
-    # became constants, so sampled manifests written before either are refused
-    assert manifest["config_hash"] == config_hash(SAMPLED_50x100) == "eb92e8f1b2c846d1"
+    # OracleConfig, from 0c0511624e6d615c when c1, c2 and learning_rate became
+    # constants, and from eb92e8f1b2c846d1 when the sampled hash left out
+    # exact_max_steps, so sampled manifests written before any are refused
+    assert manifest["config_hash"] == config_hash(SAMPLED_50x100) == "ddb290ddce29ceb9"
 
 
 def test_anneal_resume_refuses_sampled_manifest_with_old_hash(tmp_path):
@@ -719,8 +735,23 @@ def test_anneal_resume_refuses_other_config(tmp_path):
         discount_anneal(nls, cfg=AnnealConfig(max_outer=1, out_dir=str(out)))
     with pytest.raises(ValueError, match="refusing to resume"):
         discount_anneal(
-            nls, cfg=AnnealConfig(pg_steps=100), resume_from=out / "manifest.json"
+            nls, cfg=AnnealConfig(exact_max_steps=100), resume_from=out / "manifest.json"
         )
+
+
+def test_anneal_exact_manifest_resumes_under_unread_sampled_settings(tmp_path):
+    # pg_steps is read only by the sampled inner loop, so the exact run it
+    # configures is the same run and its manifest resumes
+    nls = linear_as_nonlinear(SYS)
+    out = tmp_path / "run"
+    with pytest.raises(BudgetExceededError):
+        discount_anneal(nls, cfg=AnnealConfig(max_outer=1, out_dir=str(out)))
+    resumed_gain, resumed = discount_anneal(
+        nls, cfg=AnnealConfig(pg_steps=100), resume_from=out / "manifest.json"
+    )
+    fresh_gain, fresh = discount_anneal(nls)
+    assert np.array_equal(resumed_gain, fresh_gain)
+    assert resumed.gammas == fresh.gammas
 
 
 def test_anneal_writes_manifest_and_gains_on_success(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pgstab.bench import (
+    CartpoleBenchConfig,
     LinearSuiteConfig,
     RoaConfig,
     estimate_roa,
@@ -104,6 +105,18 @@ def test_linear_suite_meta_hash_is_deterministic(tmp_path):
     assert ha == hb
 
 
+def test_linear_suite_records_failed_instance():
+    # one outer iteration cannot reach gamma = 1, so the instance fails, and
+    # the suite records it instead of stopping
+    (row,) = run_linear_suite(LinearSuiteConfig(instances=1, dims=(2,), max_outer=1))
+    assert row["status"] == "error:BudgetExceededError"
+    for key in ("outer_iters", "eval_queries", "grad_queries", "max_search_queries"):
+        assert row[key] == -1, key
+    for key in ("final_cost", "gap", "rho_closed_loop"):
+        assert np.isnan(row[key]), key
+    assert np.isfinite(row["tr_p_star"])
+
+
 def test_linear_suite_sampled_instance_stabilizes():
     cfg = LinearSuiteConfig(
         instances=1,
@@ -147,6 +160,32 @@ def test_cli_counterexample(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["beta"] > 0.0
     assert (tmp_path / "counterexample.json").exists()
+
+
+def test_cli_anneal_cartpole_writes_its_reports(tmp_path, capsys):
+    # one small trial: the table, its trace, the baselines and the meta file
+    config = {
+        "trials": 1, "n_rollouts": 200, "horizon": 200, "pg_steps": 15,
+        "roa": {"directions": 8, "horizon": 300, "tol": 1e-2},
+    }
+    cfg_path = tmp_path / "cartpole.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    rc = main(["anneal-cartpole", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["out_dir"] == str(out)
+    names = ("cartpole_table.csv", "trace_r0.1_trial0.csv", "baselines.csv",
+             "cartpole.meta.json")
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+    with open(out / "cartpole_table.csv") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert int(row["trials"]) == 1
+    with open(out / "trace_r0.1_trial0.csv") as fh:
+        assert len(list(csv.DictReader(fh))) == int(row["iters_max"])
+    with open(out / "baselines.csv") as fh:
+        assert [r["label"] for r in csv.DictReader(fh)] == ["lqr_linearization", "hinf"]
+    meta = json.loads((out / "cartpole.meta.json").read_text())
+    assert meta["report"] == "cartpole" and meta["config"]["trials"] == 1
 
 
 def test_cli_roa_on_declared_linear_system(tmp_path, capsys):
@@ -249,6 +288,14 @@ def test_cli_refuses_invalid_loop_setting(tmp_path, capsys):
     assert "pg_steps" in err["message"]
 
 
+@pytest.mark.parametrize("field", ["n_rollouts", "horizon", "estimator"])
+def test_suite_configs_refuse_oracle_settings_when_built(field):
+    bad = {"n_rollouts": 0, "horizon": 0, "estimator": "spsa"}[field]
+    for cls in (LinearSuiteConfig, CartpoleBenchConfig):
+        with pytest.raises(ValueError, match=field):
+            cls(**{field: bad})
+
+
 ROA_GAIN = {"gain": [[0.0, 0.0, 0.0, 0.0]]}
 
 
@@ -269,6 +316,8 @@ ROA_GAIN = {"gain": [[0.0, 0.0, 0.0, 0.0]]}
         ("anneal-linear", {"modes": []}, "modes"),
         ("anneal-linear", {"modes": ["analytic"]}, "modes"),
         ("anneal-linear", {"instances": 1, "estimator": "spsa"}, "estimator"),
+        ("anneal-cartpole", {"n_rollouts": 0}, "n_rollouts"),
+        ("anneal-cartpole", {"estimator": "spsa"}, "estimator"),
     ],
 )
 def test_cli_refuses_invalid_config_values(tmp_path, capsys, command, config, field):

@@ -520,3 +520,13 @@ def test_oracle_config_validation():
     for cap in (-1.0, 0.0, np.nan):
         with pytest.raises(ValueError, match="cap must be positive"):
             eps_eval(sys_nl, K_STAB, 0.9, cfg, COST2, cap=cap)
+
+
+@pytest.mark.parametrize(
+    "estimator", [eps_eval, eps_grad_sensitivity, eps_grad_zeroth_order]
+)
+@pytest.mark.parametrize("gamma", [1.5, 0.0, -1.0, np.nan])
+def test_estimators_refuse_discount_outside_unit_interval(estimator, gamma):
+    cfg = OracleConfig(n_rollouts=4, horizon=5)
+    with pytest.raises(ValueError, match="gamma must lie in"):
+        estimator(linear_as_nonlinear(SYS), K_STAB, gamma, cfg, COST2)
