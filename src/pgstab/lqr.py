@@ -72,12 +72,14 @@ def lqr_grad(
 
     grad = 2 (R K + gamma B' P_K (A + B K)) Sigma_K, with P_K the value
     matrix and Sigma_K the discounted state covariance.  Vanishes at the
-    optimal gain.
+    optimal gain.  P_K and Sigma_K come from one stacked ``dlyap`` call: one
+    eigenvalue check and one doubling loop over the damped closed loop and
+    its transpose.
     """
     K, a_cl = _closed_loop(sys, K, gamma)
     damped = np.sqrt(gamma) * a_cl
-    P = dlyap(damped, cost.Q + K.T @ cost.R @ K)
-    sigma = dlyap(damped.T, np.eye(sys.d_x))
+    q_k = cost.Q + K.T @ cost.R @ K
+    P, sigma = dlyap(np.stack([damped, damped.T]), np.stack([q_k, np.eye(sys.d_x)]))
     return 2.0 * (cost.R @ K + gamma * sys.B.T @ P @ a_cl) @ sigma
 
 

@@ -33,53 +33,69 @@ class NotStabilizableError(RuntimeError):
 
 def spectral_radius(m) -> float:
     """Largest eigenvalue magnitude of a square matrix."""
-    m = as_matrix(m, "m")
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"spectral radius needs a square matrix, got {m.shape}")
-    return float(np.abs(np.linalg.eigvals(m)).max())
+    # eigvals refuses a matrix that is not square (LinAlgError is a ValueError)
+    return float(np.abs(np.linalg.eigvals(as_matrix(m, "m"))).max())
 
 
 def dlyap(a_cl: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Solve X = Sigma + A' X A for a Schur-stable A.
+    """Solve X = Sigma + A' X A for a Schur-stable A, or a stack of such equations.
 
     Uses iterated doubling: with ``X_k = sum_{j < 2^k} (A')^j Sigma A^j`` and
-    ``M_k = A^(2^k)``, one pass performs ``X <- X + M' X M`` and ``M <- M M``,
-    so the partial sum length doubles per iteration.
+    ``M_k = A^(2^k)``, one pass performs ``X <- X + M' X M`` and ``M <- M M``
+    on every slice, so the partial sum length doubles per iteration.  Passes
+    stop once every slice's ``M_k`` has Frobenius norm at most 1e-14; a slice
+    that converged earlier takes the remaining passes, which add terms below
+    its rounding.  So the two halves of ``dlyap(np.stack([A, A.T]), ...)``
+    equal the two separate calls, whose ``M_k`` are transposes of each other.
 
     The inner kernel of the exact solvers: callers pass float arrays of one
-    shape with ``sigma`` symmetric.  It checks only that
-    ``spectral_radius(a_cl) < 1 - 1e-9`` (which also refuses a matrix that is
-    not square or not finite) and that the sum stays finite.
+    shape with ``sigma`` symmetric.  It checks only, with one eigenvalue call
+    on the whole stack, that every slice's spectral radius is below
+    ``1 - 1e-9`` (``numpy.linalg.LinAlgError``, a ``ValueError``, refuses a
+    stack that is not square or not finite), and that the sum stays finite.
 
     Parameters
     ----------
-    a_cl : array, shape (d, d)
-        Transition matrix of the series (typically a damped closed loop).
-    sigma : array, shape (d, d)
-        Symmetric PSD driving term.
+    a_cl : array, shape (..., d, d)
+        Transition matrices of the series (typically damped closed loops).
+    sigma : array, shape (..., d, d)
+        Symmetric PSD driving terms.
 
     Returns
     -------
-    X : array, shape (d, d)
-        Symmetric PSD solution.
+    X : array, shape (..., d, d)
+        Symmetric PSD solutions.
+
+    Raises
+    ------
+    UnstableError
+        If any slice of ``a_cl`` has spectral radius ``>= 1 - 1e-9``, or the
+        doubling overflows.
     """
-    rho = spectral_radius(a_cl)
+    rho = np.abs(np.linalg.eigvals(a_cl)).max()
     if rho >= 1.0 - 1e-9:
         raise UnstableError(
             f"spectral radius {rho:.6g} is not below 1 - 1e-9; "
             "the Lyapunov series diverges"
         )
 
-    x = (sigma + sigma.T) / 2.0
+    d = a_cl.shape[-1]
+    # n slices have squared norms summing to at most n times the largest: above
+    # 4n (1e-14)^2, a margin over rounding, one dot product settles the test
+    stack_bound = 4e-28 * (a_cl.size // d**2)
+    x = (sigma + sigma.mT) / 2.0
     m = a_cl
     for _ in range(200):
-        if np.linalg.norm(m, "fro") <= 1e-14:
+        flat = m.ravel(order="K")
+        if flat.dot(flat) <= stack_bound and all(
+            np.linalg.norm(s, "fro") <= 1e-14 for s in m.reshape(-1, d, d)
+        ):
             break
-        x = x + m.T @ x @ m
+        x = x + m.mT @ x @ m
         m = m @ m
     if not np.isfinite(x).all():
         raise UnstableError("Lyapunov doubling overflowed; matrix too close to instability")
-    return (x + x.T) / 2.0
+    return (x + x.mT) / 2.0
 
 
 # solve_dare's doubling limits (see its docstring)

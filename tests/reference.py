@@ -6,8 +6,8 @@ at a time, a single damped rollout stepped one state at a time, a
 generic two-point gradient estimator driven by an arbitrary objective, the
 two discount searches as separate loops, the discounted Riccati equation
 solved by plain value iteration, the residual of a discrete Lyapunov
-solution, and the forward-sensitivity gradient stepped through the
-closed-loop Jacobian.
+solution, the exact policy gradient from two separate Lyapunov solves, and
+the forward-sensitivity gradient stepped through the closed-loop Jacobian.
 """
 
 from __future__ import annotations
@@ -356,3 +356,17 @@ def dlyap_residual(a_cl, sigma, x) -> float:
     a_cl = np.asarray(a_cl, dtype=float)
     res = x - sigma - a_cl.T @ x @ a_cl
     return float(np.linalg.norm(res, "fro") / max(np.linalg.norm(x, "fro"), 1e-300))
+
+
+def lqr_grad_two_solves(
+    sys: LinearSystem, cost: CostSpec, K: np.ndarray, gamma: float = 1.0
+) -> np.ndarray:
+    """``lqr.lqr_grad`` with P_K and Sigma_K from two 2-D ``dlyap`` calls, the
+    second on the transposed damped closed loop, in place of one stacked call."""
+    check_gamma(gamma)
+    K = np.asarray(K, dtype=float)
+    a_cl = sys.closed_loop(K)
+    damped = np.sqrt(gamma) * a_cl
+    P = dlyap(damped, cost.Q + K.T @ cost.R @ K)
+    sigma = dlyap(damped.T, np.eye(sys.d_x))
+    return 2.0 * (cost.R @ K + gamma * sys.B.T @ P @ a_cl) @ sigma

@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import binary_search_gamma_loop, random_search_gamma_loop
+from reference import (
+    binary_search_gamma_loop,
+    lqr_grad_two_solves,
+    random_search_gamma_loop,
+)
 
 import pgstab.lqr
 from pgstab.anneal import (
@@ -29,7 +33,6 @@ from pgstab.anneal import (
     random_search_gamma,
 )
 from pgstab.dynamics import NonlinearSystem, jacobian_linearization, linear_as_nonlinear
-from pgstab.lqr import lqr_grad
 from pgstab.matops import UnstableError, solve_dare, spectral_radius
 from pgstab.model import CostSpec, LinearSystem
 from pgstab.oracles import DivergedAllError, OracleConfig
@@ -777,19 +780,21 @@ def test_anneal_writes_manifest_and_gains_on_success(tmp_path):
 
 
 def test_exact_gradient_query_solves_two_lyapunov_equations(monkeypatch):
+    # P_K and Sigma_K come from one stacked dlyap call: one eigenvalue check and
+    # one doubling loop, bit for bit the two separate solves
     dlyap = pgstab.lqr.dlyap
     solves = []
 
-    def counting_dlyap(*args, **kwargs):
-        solves.append(args)
-        return dlyap(*args, **kwargs)
+    def counting_dlyap(a_cl, sigma):
+        solves.append(a_cl.shape)
+        return dlyap(a_cl, sigma)
 
     K = np.array([[-0.2, -0.9]])
-    expected = lqr_grad(SYS, COST, K, 0.5)
+    expected = lqr_grad_two_solves(SYS, COST, K, 0.5)
     monkeypatch.setattr(pgstab.lqr, "dlyap", counting_dlyap)
     oracle = _ExactOracle(SYS, COST, AnnealConfig())
     grad, value, capped = oracle.gradient(K, 0.5)
-    assert len(solves) == 2
+    assert solves == [(2, SYS.d_x, SYS.d_x)]
     assert np.array_equal(grad, expected)
     assert math.isnan(value) and not capped
     assert oracle.grad_queries == 1 and oracle.eval_queries == 0

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgstab.lqr import (
     NoWitnessFoundError,
@@ -88,6 +90,34 @@ def test_discount_damping_equivalence():
         j_damp = lqr_cost(damp(sys, gamma), cost, k, 1.0)
         assert abs(j_disc - j_damp) <= 1e-8 * abs(j_damp)
         checked += 1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), d_x=st.integers(1, 5), d_u=st.integers(1, 5))
+def test_discounting_is_damping_for_every_exact_quantity(seed, d_x, d_u):
+    # the value matrix, cost and exact gradient at (sys, gamma) are those at
+    # (damp(sys, gamma), 1); the draw fixes the damped closed loop's radius
+    # in (0.05, 0.95], so the undamped loop may be unstable
+    rng = np.random.default_rng(seed)
+    d_u = min(d_u, d_x)
+    gamma = float(rng.uniform(0.05, 1.0))
+    b = rng.normal(size=(d_x, d_u))
+    k = rng.normal(size=(d_u, d_x))
+    a_cl = rng.normal(size=(d_x, d_x))
+    a_cl *= rng.uniform(0.05, 0.95) / (np.sqrt(gamma) * spectral_radius(a_cl))
+    sys = LinearSystem(a_cl - b @ k, b)
+    cost = CostSpec(np.diag(rng.uniform(1.0, 3.0, d_x)), np.diag(rng.uniform(0.1, 2.0, d_u)))
+    assert spectral_radius(np.sqrt(gamma) * sys.closed_loop(k)) <= 0.95 + 1e-12
+    for entry in (value_matrix, lqr_cost):
+        discounted = entry(sys, cost, k, gamma)
+        damped = entry(damp(sys, gamma), cost, k, 1.0)
+        assert np.linalg.norm(discounted - damped) <= 1e-12 * np.linalg.norm(damped)
+    # near the optimum the gradient's two terms cancel, so it is compared
+    # relative to its size plus that of the term 2 R K Sigma_K
+    grad = lqr_grad(sys, cost, k, gamma)
+    sigma = state_covariance(sys, k, gamma)
+    scale = np.linalg.norm(grad) + np.linalg.norm(2.0 * cost.R @ k @ sigma)
+    assert np.linalg.norm(grad - lqr_grad(damp(sys, gamma), cost, k, 1.0)) <= 1e-12 * scale
 
 
 def test_cost_nondecreasing_in_gamma():

@@ -8,6 +8,8 @@ B=1, Q=R=1.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import dlyap_residual, solve_dare_value_iteration
 
 from pgstab.bench import sample_stabilizable_system
@@ -19,6 +21,8 @@ from pgstab.matops import (
     spectral_radius,
 )
 from pgstab.model import CostSpec, LinearSystem
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
 def random_stable(rng, d, rho_max=0.95):
@@ -100,7 +104,8 @@ def test_dlyap_rejects_unstable():
 
 
 def test_dlyap_refuses_what_its_one_test_covers():
-    # spectral_radius refuses a matrix that is not square or not finite
+    # the eigenvalue check (numpy's LinAlgError is a ValueError) refuses a
+    # matrix that is not square or not finite
     with pytest.raises(ValueError):
         dlyap(np.ones((2, 3)), np.eye(2))
     with pytest.raises(ValueError):
@@ -109,6 +114,68 @@ def test_dlyap_refuses_what_its_one_test_covers():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(UnstableError, match="overflowed"):
             dlyap(np.array([[0.5, 1e200], [0.0, 0.5]]), np.eye(2))
+
+
+def stable_stack(rng, shape, d):
+    """Stable transition matrices of the given leading shape, spectral radii
+    up to 0.999, and symmetric positive definite driving terms."""
+    a = np.stack([random_stable(rng, d, rho_max=0.999) for _ in range(int(np.prod(shape)))])
+    s = rng.normal(size=(a.shape[0], d, d))
+    s = s @ s.transpose(0, 2, 1) + 0.1 * np.eye(d)
+    return a.reshape(*shape, d, d), s.reshape(*shape, d, d)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5))
+def test_dlyap_stack_of_a_and_its_transpose_is_the_two_separate_calls(seed, d):
+    # lqr_grad's stack: the two slices' powers are transposes of each other,
+    # so both converge on the same pass and each half is its 2-D call bit for bit
+    rng = np.random.default_rng(seed)
+    (a,), (s,) = stable_stack(rng, (1,), d)
+    x = dlyap(np.stack([a, a.T]), np.stack([s, np.eye(d)]))
+    assert np.array_equal(x[0], dlyap(a, s))
+    assert np.array_equal(x[1], dlyap(a.T, np.eye(d)))
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 5),
+    shape=st.sampled_from([(1,), (2,), (4,), (2, 3)]),
+)
+def test_dlyap_stack_matches_per_slice_calls(seed, d, shape):
+    # slices that converge early take the stack's remaining passes, whose
+    # terms are below 1e-28 of the sum
+    rng = np.random.default_rng(seed)
+    a, s = stable_stack(rng, shape, d)
+    x = dlyap(a, s)
+    assert x.shape == a.shape
+    for i in np.ndindex(shape):
+        ref = dlyap(a[i], s[i])
+        assert np.linalg.norm(x[i] - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 5),
+    n=st.integers(1, 4),
+    bad=st.integers(0, 3),
+)
+def test_dlyap_stack_refuses_one_bad_slice(seed, d, n, bad):
+    rng = np.random.default_rng(seed)
+    a, s = stable_stack(rng, (n,), d)
+    i = bad % n
+    unstable = a.copy()
+    unstable[i] *= rng.uniform(1.0, 2.0) / spectral_radius(a[i])
+    with pytest.raises(UnstableError):
+        dlyap(unstable, s)
+    not_finite = a.copy()
+    not_finite[i, rng.integers(d), rng.integers(d)] = rng.choice([np.nan, np.inf])
+    with pytest.raises(ValueError):
+        dlyap(not_finite, s)
+    with pytest.raises(ValueError):
+        dlyap(np.concatenate([a, a[:, :, :1]], axis=2), s)
 
 
 def scalar_dare_fixed_point():
