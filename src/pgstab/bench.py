@@ -192,7 +192,9 @@ def run_linear_suite(cfg: LinearSuiteConfig) -> list[dict]:
     Each instance is cross-checked against the Riccati solution: the row
     records the optimal undiscounted cost, the achieved gap, iteration and
     query counts, and the closed-loop spectral radius of the returned gain.
-    Failures are recorded per instance and do not stop the suite.
+    Failures are recorded per instance and do not stop the suite; a failed
+    row's ``anneal_iteration`` is the outer iteration that raised (``None``,
+    an empty CSV cell, on rows that are ``ok``).
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0x11E,)))
     rows = []
@@ -239,13 +241,15 @@ def run_linear_suite(cfg: LinearSuiteConfig) -> list[dict]:
                             (r.search_queries for r in state.history), default=0
                         ),
                         "rho_closed_loop": state.final_spectral_radius,
+                        "anneal_iteration": None,
                     }
                 )
             except Exception as exc:  # noqa: BLE001 - suite must keep going
                 row.update({"status": f"error:{type(exc).__name__}", "final_cost": np.nan,
                             "gap": np.nan, "outer_iters": -1, "eval_queries": -1,
                             "grad_queries": -1, "max_search_queries": -1,
-                            "rho_closed_loop": np.nan})
+                            "rho_closed_loop": np.nan,
+                            "anneal_iteration": getattr(exc, "anneal_iteration", None)})
             rows.append(row)
     if cfg.out_dir is not None:
         out = Path(cfg.out_dir)

@@ -73,7 +73,7 @@ def lqr_grad(
     grad = 2 (R K + gamma B' P_K (A + B K)) Sigma_K, with P_K the value
     matrix and Sigma_K the discounted state covariance.  Vanishes at the
     optimal gain.  P_K and Sigma_K come from one stacked ``dlyap`` call: one
-    eigenvalue check and one doubling loop over the damped closed loop and
+    eigenvalue check and one batched solve over the damped closed loop and
     its transpose.
     """
     K, a_cl = _closed_loop(sys, K, gamma)

@@ -5,9 +5,11 @@ batched or closed form: the seeded draws of an oracle query made one rollout
 at a time, a single damped rollout stepped one state at a time, a
 generic two-point gradient estimator driven by an arbitrary objective, the
 two discount searches as separate loops, the discounted Riccati equation
-solved by plain value iteration, the residual of a discrete Lyapunov
-solution, the exact policy gradient from two separate Lyapunov solves, and
-the forward-sensitivity gradient stepped through the closed-loop Jacobian.
+solved by plain value iteration, the discrete Lyapunov equation summed by
+doubling (``dlyap_doubling``, which also runs in extended precision), the
+residual of a discrete Lyapunov solution, the exact policy gradient from two
+separate Lyapunov solves, and the forward-sensitivity gradient stepped
+through the closed-loop Jacobian.
 """
 
 from __future__ import annotations
@@ -317,8 +319,9 @@ def solve_dare_value_iteration(
     """``matops.solve_dare`` by one Riccati step at a time: value iteration
     ``P <- Q + Ad'PAd - Ad'PBd (R + Bd'PBd)^-1 Bd'PAd`` from ``P = Q`` on the
     damped matrices, with the same divergence and convergence tests, then the
-    same policy-evaluation polish.  Its step count grows like
-    ``1 / (1 - rho^2)`` for the slowest damped closed-loop mode ``rho``."""
+    same policy-evaluation polish, each Lyapunov solve by ``dlyap_doubling``.
+    Its step count grows like ``1 / (1 - rho^2)`` for the slowest damped
+    closed-loop mode ``rho``."""
     check_gamma(gamma)
     A, B, Q, R = sys.A, sys.B, cost.Q, cost.R
     sq = np.sqrt(gamma)
@@ -341,14 +344,51 @@ def solve_dare_value_iteration(
     K = -np.linalg.solve(R + gamma * B.T @ P @ B, gamma * B.T @ P @ A)
     try:
         for _ in range(3):
-            P = dlyap(sq * (A + B @ K), Q + K.T @ R @ K)
+            P = dlyap_doubling(sq * (A + B @ K), Q + K.T @ R @ K)
             K = -np.linalg.solve(R + gamma * B.T @ P @ B, gamma * B.T @ P @ A)
     except UnstableError as exc:
         raise NotStabilizableError(
             f"greedy gain after value iteration is not stable at gamma={gamma:g}"
         ) from exc
-    P = dlyap(sq * (A + B @ K), Q + K.T @ R @ K)
+    P = dlyap_doubling(sq * (A + B @ K), Q + K.T @ R @ K)
     return P, K
+
+
+def dlyap_doubling(a_cl: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """``matops.dlyap`` by iterated doubling, for one equation or a stack.
+
+    With ``X_k = sum_{j < 2^k} (A')^j Sigma A^j`` and ``M_k = A^(2^k)``, one
+    pass performs ``X <- X + M' X M`` and ``M <- M M`` on every slice, so the
+    partial sum length doubles per pass.  Passes stop once every slice's
+    ``M_k`` has Frobenius norm at most 1e-14, which leaves a truncation error
+    of order ``||M_k||^2``; a slice that converged earlier takes the
+    remaining passes.  The arithmetic runs in the inputs' dtype, so
+    ``np.longdouble`` inputs give an extended-precision reference; the
+    stability test (spectral radius below ``1 - 1e-9``) runs in double.
+    """
+    rho = np.abs(np.linalg.eigvals(a_cl.astype(np.float64))).max()
+    if rho >= 1.0 - 1e-9:
+        raise UnstableError(
+            f"spectral radius {rho:.6g} is not below 1 - 1e-9; "
+            "the Lyapunov series diverges"
+        )
+    d = a_cl.shape[-1]
+    # n slices have squared norms summing to at most n times the largest: above
+    # 4n (1e-14)^2, a margin over rounding, one dot product settles the test
+    stack_bound = 4e-28 * (a_cl.size // d**2)
+    x = (sigma + sigma.mT) / 2.0
+    m = a_cl
+    for _ in range(200):
+        flat = m.ravel(order="K")
+        if flat.dot(flat) <= stack_bound and all(
+            np.linalg.norm(s, "fro") <= 1e-14 for s in m.reshape(-1, d, d)
+        ):
+            break
+        x = x + m.mT @ x @ m
+        m = m @ m
+    if not np.isfinite(x).all():
+        raise UnstableError("Lyapunov doubling overflowed; matrix too close to instability")
+    return (x + x.mT) / 2.0
 
 
 def dlyap_residual(a_cl, sigma, x) -> float:

@@ -781,7 +781,7 @@ def test_anneal_writes_manifest_and_gains_on_success(tmp_path):
 
 def test_exact_gradient_query_solves_two_lyapunov_equations(monkeypatch):
     # P_K and Sigma_K come from one stacked dlyap call: one eigenvalue check and
-    # one doubling loop, bit for bit the two separate solves
+    # one batched solve, bit for bit the two separate solves
     dlyap = pgstab.lqr.dlyap
     solves = []
 

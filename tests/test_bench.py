@@ -79,6 +79,7 @@ def test_linear_suite_exact_rows_are_certified(tmp_path):
     assert len(rows) == 3
     for row in rows:
         assert row["status"] == "ok"
+        assert row["anneal_iteration"] is None
         assert row["gap"] <= row["d_x"] + 1e-9
         assert row["rho_closed_loop"] < 1.0
         assert row["outer_iters"] >= 1
@@ -88,6 +89,7 @@ def test_linear_suite_exact_rows_are_certified(tmp_path):
     assert len(table) == 3
     assert [int(r["instance"]) for r in table] == [0, 1, 2]
     assert float(table[0]["gap"]) == rows[0]["gap"]
+    assert [r["anneal_iteration"] for r in table] == ["", "", ""]
 
     meta = json.loads((tmp_path / "linear_suite.meta.json").read_text())
     assert meta["report"] == "linear_suite"
@@ -115,6 +117,8 @@ def test_linear_suite_records_failed_instance():
     for key in ("final_cost", "gap", "rho_closed_loop"):
         assert np.isnan(row[key]), key
     assert np.isfinite(row["tr_p_star"])
+    # the row keeps the outer iteration that raised
+    assert row["anneal_iteration"] == 1
 
 
 def test_linear_suite_sampled_instance_stabilizes():
