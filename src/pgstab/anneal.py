@@ -333,7 +333,10 @@ class _ExactOracle:
     def solve(self, K0, gamma: float) -> PgResult:
         """Backtracking gradient descent from K0 until the measured cost is
         within d_x of the optimum at ``gamma``, in at most ``exact_max_steps``
-        steps; the first step size is 1e-2."""
+        steps.  The first step's first trial is 1e-2; every later step's is
+        the positive Barzilai-Borwein step ||K_k - K_k-1|| / ||g_k - g_k-1||
+        (Dai, Al-Baali & Yang 2015), or the last accepted step where that ratio
+        is not finite.  A trial is halved until the cost strictly falls."""
         optimal_cost = self.optimum(gamma)
         target_gap = float(self.sys.d_x)
         best_k = np.array(K0, dtype=float)
@@ -342,6 +345,7 @@ class _ExactOracle:
             raise ValueError("the cost at the initial gain is not finite")
         eta = 1e-2
         costs = [best_j]
+        last = None
         while best_j - optimal_cost > target_gap:
             if len(costs) > self.cfg.exact_max_steps:
                 raise BudgetExceededError(
@@ -349,12 +353,18 @@ class _ExactOracle:
                     f"within {self.cfg.exact_max_steps} gradient steps"
                 )
             grad, _, _ = self.gradient(best_k, gamma)
+            if last is not None:
+                s, y = best_k - last[0], grad - last[1]
+                with np.errstate(all="ignore"):
+                    bb = np.linalg.norm(s) / np.linalg.norm(y)
+                if np.isfinite(bb):
+                    eta = bb
+            last = best_k, grad
             for _ in range(80):
                 trial = best_k - eta * grad
                 jt, capped_t = self.evaluate(trial, gamma)
                 if np.isfinite(jt) and not capped_t and jt < best_j:
                     best_k, best_j = trial, jt
-                    eta *= 1.5
                     break
                 eta *= 0.5
             else:

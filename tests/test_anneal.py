@@ -4,7 +4,7 @@ linear systems in both exact and sampled mode."""
 
 import json
 import math
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from reference import (
     lqr_grad_two_solves,
     random_search_gamma_loop,
 )
+from test_matops import linear_suite_systems
 
 import pgstab.lqr
 from pgstab.anneal import (
@@ -94,6 +95,78 @@ def test_gap_mode_budget_error():
     oracle = _ExactOracle(SYS, COST, AnnealConfig(exact_max_steps=2))
     with pytest.raises(BudgetExceededError):
         oracle.solve(np.zeros((1, 2)), GAMMA_FAR)
+
+
+@dataclass
+class LoggingExactOracle(_ExactOracle):
+    """An exact oracle that logs its queries in order: ``("grad", K, g)`` for
+    a gradient query at K and ``("eval", K)`` for a cost query."""
+
+    log: list = field(default_factory=list)
+
+    def evaluate(self, K, gamma, cap=np.inf):
+        self.log.append(("eval", K))
+        return super().evaluate(K, gamma, cap)
+
+    def gradient(self, K, gamma):
+        out = super().gradient(K, gamma)
+        self.log.append(("grad", K, out[0]))
+        return out
+
+
+def first_trials(log):
+    """(K, g, first trial gain) of each step: the cost query that follows
+    each gradient query."""
+    return [
+        (entry[1], entry[2], log[i + 1][1])
+        for i, entry in enumerate(log)
+        if entry[0] == "grad"
+    ]
+
+
+def test_gap_mode_first_trial_is_the_barzilai_borwein_step():
+    oracle = LoggingExactOracle(SYS, COST, AnnealConfig())
+    res = oracle.solve(np.zeros((1, 2)), GAMMA_FAR)
+    trials = first_trials(oracle.log)
+    assert res.steps == len(trials) == oracle.grad_queries >= 3
+    (k0, g0, t0), *later = trials
+    assert np.array_equal(t0, k0 - 1e-2 * g0)
+    for (k_prev, g_prev, _), (k, g, trial) in zip(trials, later):
+        eta = np.linalg.norm(k - k_prev) / np.linalg.norm(g - g_prev)
+        assert np.linalg.norm(trial - (k - eta * g)) <= 1e-12 * eta * np.linalg.norm(g)
+
+
+@dataclass
+class ConstantGradientOracle(LoggingExactOracle):
+    """Every gradient query answers GRAD, and the cost 10 + <GRAD, K> falls
+    along it without bound towards an optimum of 0: successive gradients
+    never differ, so the step ratio ||s|| / ||y|| is ||s|| / 0."""
+
+    GRAD = np.array([[3.0, 4.0]])
+
+    def optimum(self, gamma):
+        return 0.0
+
+    def evaluate(self, K, gamma, cap=np.inf):
+        self.log.append(("eval", K))
+        self.eval_queries += 1
+        return 10.0 + float(np.sum(self.GRAD * K)), False
+
+    def gradient(self, K, gamma):
+        self.grad_queries += 1
+        self.log.append(("grad", K, self.GRAD))
+        return self.GRAD, np.nan, False
+
+
+@pytest.mark.filterwarnings("error")
+def test_gap_mode_keeps_the_step_when_the_gradient_does_not_change():
+    oracle = ConstantGradientOracle(SYS, COST, AnnealConfig())
+    res = oracle.solve(np.zeros((1, 2)), GAMMA_FAR)
+    # each step of 1e-2 lowers the cost by 1e-2 * ||GRAD||^2 = 0.25: from 10
+    # to the gap d_x = 2 in 32 steps, none of them an inf or NaN trial
+    assert res.steps == 32 and res.cost <= SYS.d_x
+    for k, g, trial in first_trials(oracle.log):
+        assert np.array_equal(trial, k - 1e-2 * g)
 
 
 class SyntheticOracle(_SampledOracle):
@@ -483,6 +556,21 @@ def test_anneal_exact_stabilizes_unstable_system():
         assert rec.search_queries <= budget
         assert rec.search_transcript[0]["gamma"] == 1.0
         assert rec.cost_next_gamma <= 8.0 * rec.cost_end + 2.0 * 0.2 + 1e-9
+
+
+def test_anneal_exact_certifies_the_heavy_tailed_suite_draw():
+    # instance 39 of the exact-linear suite: tr P* is about 4.4e5 and Sigma_K
+    # is badly conditioned along the way, so a step length that only grows
+    # by a constant factor runs out of 2,000 steps at outer iteration 8
+    lin = linear_suite_systems()[39]
+    cost = CostSpec.identity(lin.d_x, lin.d_u)
+    gain, state = discount_anneal(
+        linear_as_nonlinear(lin), cost, AnnealConfig(exact_max_steps=2000)
+    )
+    assert state.done
+    assert spectral_radius(lin.closed_loop(gain)) < 1.0
+    p_star, _ = solve_dare(lin, cost, 1.0)
+    assert pgstab.lqr.lqr_cost(lin, cost, gain, 1.0) - np.trace(p_star) <= lin.d_x
 
 
 def test_anneal_easy_system_goes_straight_to_undamped():
