@@ -304,6 +304,20 @@ def config_hash(cfg: AnnealConfig) -> str:
     return files.digest(cfg, *_UNHASHED[cfg.oracle_mode])
 
 
+def _bfgs_update(H: np.ndarray | None, s: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """The inverse Hessian after the pair (s, y): H itself when s'y is not a
+    positive finite number, else (I - rho s y') H (I - rho y s') + rho s s'
+    with rho = 1 / s'y, where a None H first becomes (s'y / y'y) I."""
+    sy = float(s @ y)
+    if not (np.isfinite(sy) and sy > 0.0):
+        return H
+    if H is None:
+        H = (sy / float(y @ y)) * np.eye(s.size)
+    rho = 1.0 / sy
+    V = np.eye(s.size) - rho * np.outer(s, y)
+    return V @ H @ V.T + rho * np.outer(s, s)
+
+
 @dataclass
 class _ExactOracle:
     """Cost/gradient queries answered by the exact solvers on (A, B)."""
@@ -331,12 +345,13 @@ class _ExactOracle:
         return lqr_grad(self.sys, self.cost, K, gamma), np.nan, False
 
     def solve(self, K0, gamma: float) -> PgResult:
-        """Backtracking gradient descent from K0 until the measured cost is
-        within d_x of the optimum at ``gamma``, in at most ``exact_max_steps``
-        steps.  The first step's first trial is 1e-2; every later step's is
-        the positive Barzilai-Borwein step ||K_k - K_k-1|| / ||g_k - g_k-1||
-        (Dai, Al-Baali & Yang 2015), or the last accepted step where that ratio
-        is not finite.  A trial is halved until the cost strictly falls."""
+        """Backtracking BFGS from K0 until the measured cost is within d_x of
+        the optimum at ``gamma``, in at most ``exact_max_steps`` steps.  The
+        inverse Hessian H over vec(K) is built by ``_bfgs_update`` from each
+        accepted step and the change in its ``lqr_grad`` values (Nocedal &
+        Wright, ch. 6).  The first step tries K - 1e-2 g, every later one
+        K - H g, or K - eta g at the last accepted length eta while H is
+        unset; a trial is halved until the cost strictly falls."""
         optimal_cost = self.optimum(gamma)
         target_gap = float(self.sys.d_x)
         best_k = np.array(K0, dtype=float)
@@ -344,6 +359,7 @@ class _ExactOracle:
         if capped or not np.isfinite(best_j):
             raise ValueError("the cost at the initial gain is not finite")
         eta = 1e-2
+        H = None
         costs = [best_j]
         last = None
         while best_j - optimal_cost > target_gap:
@@ -354,14 +370,13 @@ class _ExactOracle:
                 )
             grad, _, _ = self.gradient(best_k, gamma)
             if last is not None:
-                s, y = best_k - last[0], grad - last[1]
-                with np.errstate(all="ignore"):
-                    bb = np.linalg.norm(s) / np.linalg.norm(y)
-                if np.isfinite(bb):
-                    eta = bb
+                H = _bfgs_update(H, (best_k - last[0]).ravel(), (grad - last[1]).ravel())
             last = best_k, grad
+            direction = grad
+            if H is not None:
+                direction, eta = (H @ grad.ravel()).reshape(grad.shape), 1.0
             for _ in range(80):
-                trial = best_k - eta * grad
+                trial = best_k - eta * direction
                 jt, capped_t = self.evaluate(trial, gamma)
                 if np.isfinite(jt) and not capped_t and jt < best_j:
                     best_k, best_j = trial, jt
@@ -540,11 +555,16 @@ def discount_anneal(
             K = pg.gain
             j_hat = pg.cost
             if not final:
-                j_hat, j_capped = oracle.evaluate(K, gamma)
-                if j_capped or not np.isfinite(j_hat):
-                    raise InnerDivergedError(
-                        f"cost estimate at gamma={gamma:g} is not finite after the inner solve"
-                    )
+                if cfg.oracle_mode == "sampled":
+                    # the exact solve's pg.cost is already this query's value;
+                    # a sampled solve's is the lowest of its own estimates, so
+                    # the search bracket takes a fresh, unbiased one instead
+                    j_hat, j_capped = oracle.evaluate(K, gamma)
+                    if j_capped or not np.isfinite(j_hat):
+                        raise InnerDivergedError(
+                            f"cost estimate at gamma={gamma:g} is not finite "
+                            "after the inner solve"
+                        )
                 depth = math.ceil(4.0 * math.log(max(math.e, C2 * j_hat)))
                 bracket = SearchBracket(
                     f1_bar=(C1 + 0.25) * j_hat,

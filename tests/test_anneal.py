@@ -124,25 +124,68 @@ def first_trials(log):
     ]
 
 
-def test_gap_mode_first_trial_is_the_barzilai_borwein_step():
+def rebuilt_inverse_hessians(trials):
+    """For each step after the first, the BFGS inverse Hessian its first trial
+    should use, rebuilt from the logged (K, g) pairs, and the pair (s, y)
+    that led to it: None until the first pair with s'y > 0 sets it to
+    (s'y / y'y) I before its update; pairs with s'y <= 0 leave it as it is.
+    The update is written out in the expanded form
+    H + (1 + rho y'Hy) rho s s' - rho (H y s' + s y'H)."""
+    H, out = None, []
+    for (k_prev, g_prev, _), (k, g, _) in zip(trials, trials[1:]):
+        s, y = (k - k_prev).ravel(), (g - g_prev).ravel()
+        if s @ y > 0:
+            if H is None:
+                H = (s @ y) / (y @ y) * np.eye(s.size)
+            rho, hy = 1.0 / (s @ y), H @ y
+            H = (
+                H
+                + (1.0 + rho * (y @ hy)) * rho * np.outer(s, s)
+                - rho * (np.outer(hy, s) + np.outer(s, hy))
+            )
+        out.append((H, s, y))
+    return out
+
+
+def check_bfgs_first_trials(trials):
+    """Step 1 tries K - 1e-2 g and, with H set from the first pair on, every
+    later step tries K - H g within 1e-12 relative; every H is symmetric
+    positive definite and satisfies H y = s for the last pair with s'y > 0.
+    Returns the rebuilt (H, s, y) of each step after the first."""
+    (k0, g0, t0), *later = trials
+    assert np.array_equal(t0, k0 - 1e-2 * g0)
+    rebuilt = rebuilt_inverse_hessians(trials)
+    secant = None
+    for (H, s, y), (k, g, trial) in zip(rebuilt, later):
+        if s @ y > 0:
+            secant = s, y
+        step = (H @ g.ravel()).reshape(g.shape)
+        assert np.linalg.norm(trial - (k - step)) <= 1e-12 * np.linalg.norm(step)
+        assert np.allclose(H, H.T, rtol=0, atol=1e-12 * np.abs(H).max())
+        assert np.linalg.eigvalsh(H).min() > 0
+        assert np.allclose(H @ secant[1], secant[0], rtol=1e-9, atol=0)
+    return rebuilt
+
+
+def test_gap_mode_first_trial_is_the_bfgs_step():
     oracle = LoggingExactOracle(SYS, COST, AnnealConfig())
     res = oracle.solve(np.zeros((1, 2)), GAMMA_FAR)
     trials = first_trials(oracle.log)
     assert res.steps == len(trials) == oracle.grad_queries >= 3
-    (k0, g0, t0), *later = trials
-    assert np.array_equal(t0, k0 - 1e-2 * g0)
-    for (k_prev, g_prev, _), (k, g, trial) in zip(trials, later):
-        eta = np.linalg.norm(k - k_prev) / np.linalg.norm(g - g_prev)
-        assert np.linalg.norm(trial - (k - eta * g)) <= 1e-12 * eta * np.linalg.norm(g)
+    rebuilt = check_bfgs_first_trials(trials)
+    # the cost is convex along this path: every pair updates H
+    assert all(s @ y > 0 for _, s, y in rebuilt)
 
 
 @dataclass
 class ConstantGradientOracle(LoggingExactOracle):
-    """Every gradient query answers GRAD, and the cost 10 + <GRAD, K> falls
-    along it without bound towards an optimum of 0: successive gradients
-    never differ, so the step ratio ||s|| / ||y|| is ||s|| / 0."""
+    """The cost 10 + <GRAD, K> falls along GRAD without bound towards an
+    optimum of 0, and the n-th gradient query answers ANSWERS[n - 1], the
+    last one from then on.  Here that is always GRAD: successive gradients
+    never differ, so every pair has s'y = 0."""
 
     GRAD = np.array([[3.0, 4.0]])
+    ANSWERS = (GRAD,)
 
     def optimum(self, gamma):
         return 0.0
@@ -154,19 +197,47 @@ class ConstantGradientOracle(LoggingExactOracle):
 
     def gradient(self, K, gamma):
         self.grad_queries += 1
-        self.log.append(("grad", K, self.GRAD))
-        return self.GRAD, np.nan, False
+        g = self.ANSWERS[min(self.grad_queries, len(self.ANSWERS)) - 1]
+        self.log.append(("grad", K, g))
+        return g, np.nan, False
 
 
 @pytest.mark.filterwarnings("error")
 def test_gap_mode_keeps_the_step_when_the_gradient_does_not_change():
     oracle = ConstantGradientOracle(SYS, COST, AnnealConfig())
     res = oracle.solve(np.zeros((1, 2)), GAMMA_FAR)
-    # each step of 1e-2 lowers the cost by 1e-2 * ||GRAD||^2 = 0.25: from 10
-    # to the gap d_x = 2 in 32 steps, none of them an inf or NaN trial
+    # H is never set, so each step of 1e-2 lowers the cost by
+    # 1e-2 * ||GRAD||^2 = 0.25: from 10 to the gap d_x = 2 in 32 steps, none
+    # of them an inf or NaN trial
     assert res.steps == 32 and res.cost <= SYS.d_x
     for k, g, trial in first_trials(oracle.log):
         assert np.array_equal(trial, k - 1e-2 * g)
+
+
+@dataclass
+class TurningGradientOracle(ConstantGradientOracle):
+    """The second answer makes the first pair's s'y positive, so it sets H.
+    The third repeats it: y = 0 and s'y = 0.  The fourth doubles it, so y is
+    the last gradient g while the step was s = -t H g: s'y < 0.  The fourth
+    answer then stays."""
+
+    ANSWERS = (
+        ConstantGradientOracle.GRAD,
+        np.array([[2.0, 3.0]]),
+        np.array([[2.0, 3.0]]),
+        np.array([[4.0, 6.0]]),
+    )
+
+
+@pytest.mark.filterwarnings("error")
+def test_gap_mode_pairs_without_curvature_leave_the_inverse_hessian():
+    oracle = TurningGradientOracle(SYS, COST, AnnealConfig())
+    res = oracle.solve(np.zeros((1, 2)), GAMMA_FAR)
+    assert res.cost <= SYS.d_x
+    rebuilt = check_bfgs_first_trials(first_trials(oracle.log))
+    (h1, s1, y1), (_, s2, y2), (_, s3, y3), *_ = rebuilt
+    assert s1 @ y1 > 0 and s2 @ y2 == 0 and s3 @ y3 < 0
+    assert len(rebuilt) >= 4 and all(h is h1 for h, _, _ in rebuilt)
 
 
 class SyntheticOracle(_SampledOracle):
@@ -570,6 +641,29 @@ def test_anneal_exact_certifies_the_heavy_tailed_suite_draw():
     assert state.done
     assert spectral_radius(lin.closed_loop(gain)) < 1.0
     p_star, _ = solve_dare(lin, cost, 1.0)
+    assert pgstab.lqr.lqr_cost(lin, cost, gain, 1.0) - np.trace(p_star) <= lin.d_x
+
+
+def test_anneal_exact_certifies_the_suite_draw_whose_line_search_stalled():
+    # instance 751 of `pgstab anneal-linear --seed 1` (tr P* is about 2.64e6):
+    # gradient steps with a Barzilai-Borwein first trial stalled here, 80
+    # halvings without a fall in cost, at outer iteration 15
+    lin = LinearSystem(
+        np.array(
+            [
+                [0.2797308765525298, 0.9095698451033993, 0.332696567080702],
+                [0.26254011346082784, 0.19543630781096136, 1.2169119153838395],
+                [2.10930693576943, 0.14854551150938342, 0.39410442440800936],
+            ]
+        ),
+        np.array([[0.06830435083634641], [-0.6990345601192399], [0.4987575152117558]]),
+    )
+    cost = CostSpec.identity(lin.d_x, lin.d_u)
+    gain, state = discount_anneal(linear_as_nonlinear(lin), cost, AnnealConfig())
+    assert state.done
+    assert spectral_radius(lin.closed_loop(gain)) < 1.0
+    p_star, _ = solve_dare(lin, cost, 1.0)
+    assert np.trace(p_star) == pytest.approx(2.64e6, rel=1e-3)
     assert pgstab.lqr.lqr_cost(lin, cost, gain, 1.0) - np.trace(p_star) <= lin.d_x
 
 
