@@ -304,15 +304,13 @@ def config_hash(cfg: AnnealConfig) -> str:
     return files.digest(cfg, *_UNHASHED[cfg.oracle_mode])
 
 
-def _bfgs_update(H: np.ndarray | None, s: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+def _bfgs_update(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The inverse Hessian after the pair (s, y): H itself when s'y is not a
     positive finite number, else (I - rho s y') H (I - rho y s') + rho s s'
-    with rho = 1 / s'y, where a None H first becomes (s'y / y'y) I."""
+    with rho = 1 / s'y."""
     sy = float(s @ y)
     if not (np.isfinite(sy) and sy > 0.0):
         return H
-    if H is None:
-        H = (sy / float(y @ y)) * np.eye(s.size)
     rho = 1.0 / sy
     V = np.eye(s.size) - rho * np.outer(s, y)
     return V @ H @ V.T + rho * np.outer(s, s)
@@ -340,26 +338,25 @@ class _ExactOracle:
             return cap, True
         return min(j, cap), j >= cap
 
-    def gradient(self, K, gamma: float) -> tuple[np.ndarray, float, bool]:
+    def gradient(self, K, gamma: float) -> np.ndarray:
         self.grad_queries += 1
-        return lqr_grad(self.sys, self.cost, K, gamma), np.nan, False
+        return lqr_grad(self.sys, self.cost, K, gamma)
 
     def solve(self, K0, gamma: float) -> PgResult:
         """Backtracking BFGS from K0 until the measured cost is within d_x of
         the optimum at ``gamma``, in at most ``exact_max_steps`` steps.  The
-        inverse Hessian H over vec(K) is built by ``_bfgs_update`` from each
-        accepted step and the change in its ``lqr_grad`` values (Nocedal &
-        Wright, ch. 6).  The first step tries K - 1e-2 g, every later one
-        K - H g, or K - eta g at the last accepted length eta while H is
-        unset; a trial is halved until the cost strictly falls."""
+        inverse Hessian H over vec(K) starts at 1e-2 I and is updated by
+        ``_bfgs_update`` from each accepted step and the change in its
+        ``lqr_grad`` values (Nocedal & Wright, ch. 6).  Every step tries
+        K - H g, halved until the cost strictly falls."""
         optimal_cost = self.optimum(gamma)
         target_gap = float(self.sys.d_x)
         best_k = np.array(K0, dtype=float)
-        best_j, capped = self.evaluate(best_k, gamma)
-        if capped or not np.isfinite(best_j):
+        # uncapped, an exact cost is finite or, on an unstable gain, inf
+        best_j, _ = self.evaluate(best_k, gamma)
+        if not np.isfinite(best_j):
             raise ValueError("the cost at the initial gain is not finite")
-        eta = 1e-2
-        H = None
+        H = 1e-2 * np.eye(best_k.size)
         costs = [best_j]
         last = None
         while best_j - optimal_cost > target_gap:
@@ -368,20 +365,18 @@ class _ExactOracle:
                     f"gap {best_j - optimal_cost:.3g} not reached "
                     f"within {self.cfg.exact_max_steps} gradient steps"
                 )
-            grad, _, _ = self.gradient(best_k, gamma)
+            grad = self.gradient(best_k, gamma)
             if last is not None:
                 H = _bfgs_update(H, (best_k - last[0]).ravel(), (grad - last[1]).ravel())
             last = best_k, grad
-            direction = grad
-            if H is not None:
-                direction, eta = (H @ grad.ravel()).reshape(grad.shape), 1.0
+            step = (H @ grad.ravel()).reshape(grad.shape)
             for _ in range(80):
-                trial = best_k - eta * direction
-                jt, capped_t = self.evaluate(trial, gamma)
-                if np.isfinite(jt) and not capped_t and jt < best_j:
+                trial = best_k - step
+                jt, _ = self.evaluate(trial, gamma)
+                if jt < best_j:
                     best_k, best_j = trial, jt
                     break
-                eta *= 0.5
+                step = 0.5 * step
             else:
                 raise InnerDivergedError(
                     f"line search stalled at cost {best_j:.6g} "

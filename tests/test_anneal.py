@@ -91,8 +91,10 @@ def test_gap_mode_rejects_infinite_start():
         oracle.solve(np.zeros((1, 2)), 1.0)
 
 
-def test_gap_mode_budget_error():
-    oracle = _ExactOracle(SYS, COST, AnnealConfig(exact_max_steps=2))
+@pytest.mark.parametrize("budget", [0, 1])
+def test_gap_mode_budget_error(budget):
+    # the zero gain at GAMMA_FAR reaches the gap in two steps
+    oracle = _ExactOracle(SYS, COST, AnnealConfig(exact_max_steps=budget))
     with pytest.raises(BudgetExceededError):
         oracle.solve(np.zeros((1, 2)), GAMMA_FAR)
 
@@ -109,9 +111,9 @@ class LoggingExactOracle(_ExactOracle):
         return super().evaluate(K, gamma, cap)
 
     def gradient(self, K, gamma):
-        out = super().gradient(K, gamma)
-        self.log.append(("grad", K, out[0]))
-        return out
+        g = super().gradient(K, gamma)
+        self.log.append(("grad", K, g))
+        return g
 
 
 def first_trials(log):
@@ -126,17 +128,14 @@ def first_trials(log):
 
 def rebuilt_inverse_hessians(trials):
     """For each step after the first, the BFGS inverse Hessian its first trial
-    should use, rebuilt from the logged (K, g) pairs, and the pair (s, y)
-    that led to it: None until the first pair with s'y > 0 sets it to
-    (s'y / y'y) I before its update; pairs with s'y <= 0 leave it as it is.
+    should use, rebuilt from the logged (K, g) pairs starting at 1e-2 I, and
+    the pair (s, y) that led to it; pairs with s'y <= 0 leave it as it is.
     The update is written out in the expanded form
     H + (1 + rho y'Hy) rho s s' - rho (H y s' + s y'H)."""
-    H, out = None, []
+    H, out = 1e-2 * np.eye(trials[0][1].size), []
     for (k_prev, g_prev, _), (k, g, _) in zip(trials, trials[1:]):
         s, y = (k - k_prev).ravel(), (g - g_prev).ravel()
         if s @ y > 0:
-            if H is None:
-                H = (s @ y) / (y @ y) * np.eye(s.size)
             rho, hy = 1.0 / (s @ y), H @ y
             H = (
                 H
@@ -148,10 +147,10 @@ def rebuilt_inverse_hessians(trials):
 
 
 def check_bfgs_first_trials(trials):
-    """Step 1 tries K - 1e-2 g and, with H set from the first pair on, every
-    later step tries K - H g within 1e-12 relative; every H is symmetric
-    positive definite and satisfies H y = s for the last pair with s'y > 0.
-    Returns the rebuilt (H, s, y) of each step after the first."""
+    """Step 1 tries K - 1e-2 g and every later step K - H g within 1e-12
+    relative; every H is symmetric positive definite and satisfies H y = s
+    for the last pair with s'y > 0.  Returns the rebuilt (H, s, y) of each
+    step after the first."""
     (k0, g0, t0), *later = trials
     assert np.array_equal(t0, k0 - 1e-2 * g0)
     rebuilt = rebuilt_inverse_hessians(trials)
@@ -168,8 +167,15 @@ def check_bfgs_first_trials(trials):
 
 
 def test_gap_mode_first_trial_is_the_bfgs_step():
-    oracle = LoggingExactOracle(SYS, COST, AnnealConfig())
-    res = oracle.solve(np.zeros((1, 2)), GAMMA_FAR)
+    # suite draw 5 (d_x 4, d_u 2): from the optimal gain at its gamma_0, the
+    # solve at gamma_0 + 0.6 (1 - gamma_0) starts 15 above the optimum and
+    # takes 4 steps over vec(K) of size 8
+    lin = linear_suite_systems()[5]
+    cost = CostSpec.identity(lin.d_x, lin.d_u)
+    gamma0 = 0.9 / np.linalg.norm(lin.A, 2) ** 2
+    _, k0 = solve_dare(lin, cost, gamma0)
+    oracle = LoggingExactOracle(lin, cost, AnnealConfig())
+    res = oracle.solve(k0, gamma0 + 0.6 * (1.0 - gamma0))
     trials = first_trials(oracle.log)
     assert res.steps == len(trials) == oracle.grad_queries >= 3
     rebuilt = check_bfgs_first_trials(trials)
@@ -199,14 +205,14 @@ class ConstantGradientOracle(LoggingExactOracle):
         self.grad_queries += 1
         g = self.ANSWERS[min(self.grad_queries, len(self.ANSWERS)) - 1]
         self.log.append(("grad", K, g))
-        return g, np.nan, False
+        return g
 
 
 @pytest.mark.filterwarnings("error")
 def test_gap_mode_keeps_the_step_when_the_gradient_does_not_change():
     oracle = ConstantGradientOracle(SYS, COST, AnnealConfig())
     res = oracle.solve(np.zeros((1, 2)), GAMMA_FAR)
-    # H is never set, so each step of 1e-2 lowers the cost by
+    # H stays 1e-2 I, so each step of 1e-2 lowers the cost by
     # 1e-2 * ||GRAD||^2 = 0.25: from 10 to the gap d_x = 2 in 32 steps, none
     # of them an inf or NaN trial
     assert res.steps == 32 and res.cost <= SYS.d_x
@@ -216,7 +222,7 @@ def test_gap_mode_keeps_the_step_when_the_gradient_does_not_change():
 
 @dataclass
 class TurningGradientOracle(ConstantGradientOracle):
-    """The second answer makes the first pair's s'y positive, so it sets H.
+    """The second answer makes the first pair's s'y positive, so it updates H.
     The third repeats it: y = 0 and s'y = 0.  The fourth doubles it, so y is
     the last gradient g while the step was s = -t H g: s'y < 0.  The fourth
     answer then stays."""
@@ -975,10 +981,9 @@ def test_exact_gradient_query_solves_two_lyapunov_equations(monkeypatch):
     expected = lqr_grad_two_solves(SYS, COST, K, 0.5)
     monkeypatch.setattr(pgstab.lqr, "dlyap", counting_dlyap)
     oracle = _ExactOracle(SYS, COST, AnnealConfig())
-    grad, value, capped = oracle.gradient(K, 0.5)
+    grad = oracle.gradient(K, 0.5)
     assert solves == [(2, SYS.d_x, SYS.d_x)]
     assert np.array_equal(grad, expected)
-    assert math.isnan(value) and not capped
     assert oracle.grad_queries == 1 and oracle.eval_queries == 0
 
 

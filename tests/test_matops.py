@@ -257,11 +257,11 @@ def test_dlyap_on_the_worst_conditioned_exact_linear_loop():
     # instance 39 of `pgstab anneal-linear --seed 0` (the exact-linear
     # benchmark's draw): its optimal closed loop has spectral radius 0.68 but
     # cond(I - A' (x) A') = 2.1e10 at gamma = 1.  Measured: 1.1e-9 at gamma = 1
-    # and 8e-11 at 0.95.  Of the 3,349 slices the cost and gradient queries
-    # of a seed-0 exact-linear pass solve, the worst is 1.6e-9, also on
-    # instance 39, at a gain the inner loop visits (spectral radius 0.972,
-    # cond 8e9); against a long-double doubling sum there, dlyap is 1.4e-9
-    # off and this reference 2e-10
+    # and 8e-11 at 0.95.  Of the 2,098 slices the cost and gradient queries
+    # of a seed-0 exact-linear pass solve, the worst is 7.9e-10, also on
+    # instance 39, at a gain the inner loop visits (spectral radius 0.960,
+    # cond 6.8e9); against a long-double doubling sum there, dlyap is 1.9e-10
+    # off and this reference 6e-10
     lin = linear_suite_systems()[39]
     cost = CostSpec.identity(lin.d_x, lin.d_u)
     for gamma in (1.0, 0.95):
