@@ -239,7 +239,8 @@ class IterationRecord:
 
     @property
     def cost_next_gamma(self) -> float | None:
-        """The cost at the accepted discount: the search's last query."""
+        """The search's last query: the cost at the accepted discount, or at the
+        unrounded one where the search rounded a discount above 1 - 1e-12 up to 1."""
         return self.search_transcript[-1]["value"] if self.search_transcript else None
 
 
@@ -318,13 +319,16 @@ def _bfgs_update(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _ExactOracle:
-    """Cost/gradient queries answered by the exact solvers on (A, B)."""
+    """Cost/gradient queries answered by the exact solvers on (A, B).
+    ``last_eval`` keeps the last (gamma, K) and its uncapped cost (inf if
+    unstable): an exact repeat is counted in ``eval_queries``, not solved."""
 
     sys: LinearSystem
     cost: CostSpec
     cfg: AnnealConfig
     eval_queries: int = 0
     grad_queries: int = 0
+    last_eval: tuple = field(default=(None, np.inf), repr=False, compare=False)
 
     def optimum(self, gamma: float) -> float:
         p_star, _ = solve_dare(self.sys, self.cost, gamma)
@@ -332,10 +336,13 @@ class _ExactOracle:
 
     def evaluate(self, K, gamma: float, cap: float = np.inf) -> tuple[float, bool]:
         self.eval_queries += 1
-        try:
-            j = lqr_cost(self.sys, self.cost, K, gamma)
-        except UnstableError:
-            return cap, True
+        key = (gamma, np.shape(K), np.asarray(K, dtype=float).tobytes())
+        if self.last_eval[0] != key:
+            try:
+                self.last_eval = key, lqr_cost(self.sys, self.cost, K, gamma)
+            except UnstableError:
+                self.last_eval = key, np.inf
+        j = self.last_eval[1]
         return min(j, cap), j >= cap
 
     def gradient(self, K, gamma: float) -> np.ndarray:

@@ -8,7 +8,7 @@ per equation with one step of iterative refinement, and refused when that
 step shows the solve has not converged.  The Riccati equation is summed by
 doubling: after ``k`` passes its iterate ``H_k`` equals ``2^k`` steps of
 value iteration, so a slow mode costs passes logarithmic, not linear, in
-its time constant.
+its time constant; one policy-evaluation step then polishes its limit.
 """
 
 from __future__ import annotations
@@ -138,13 +138,13 @@ def solve_dare(
     After ``k`` passes ``H_k`` is the value-iteration iterate after ``2^k``
     steps from ``P = 0``: the optimal cost of the horizon-``2^k`` problem.
     Passes stop once the relative change of ``H`` drops below
-    ``DARE_REL_TOL``; a few policy-evaluation steps then polish the fixed
-    point so the returned pair is self-consistent to machine precision.
+    ``DARE_REL_TOL``; one policy-evaluation step then polishes the fixed
+    point: ``P`` is the exact Lyapunov value of ``K``, the greedy gain of ``H``.
 
     Returns
     -------
     (P, K) : value matrix ``(d_x, d_x)`` and optimal gain
-        ``K = -(R + gamma B'PB)^-1 gamma B'PA`` of shape ``(d_u, d_x)``.
+        ``K = -(R + gamma B'HB)^-1 gamma B'HA`` of shape ``(d_u, d_x)``.
 
     Raises
     ------
@@ -189,17 +189,13 @@ def solve_dare(
             f"at gamma={gamma:g}"
         )
 
-    # Policy-evaluation polish: alternate the greedy gain with an exact
-    # Lyapunov solve for its value.  Quadratic convergence wipes out the
-    # residual error left by the doubling's stopping test in a couple of rounds.
+    # Further Hewer rounds move P by under 1e-10 relative on suite draws, and
+    # no closer to scipy's solution.
     K = -np.linalg.solve(R + gamma * B.T @ H @ B, gamma * B.T @ H @ A)
     try:
-        for _ in range(3):
-            P = dlyap(sq * (A + B @ K), Q + K.T @ R @ K)
-            K = -np.linalg.solve(R + gamma * B.T @ P @ B, gamma * B.T @ P @ A)
+        P = dlyap(sq * (A + B @ K), Q + K.T @ R @ K)
     except UnstableError as exc:
         raise NotStabilizableError(
             f"greedy gain after Riccati doubling is not stable at gamma={gamma:g}"
         ) from exc
-    P = dlyap(sq * (A + B @ K), Q + K.T @ R @ K)
     return P, K

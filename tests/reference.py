@@ -318,8 +318,10 @@ def solve_dare_value_iteration(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``matops.solve_dare`` by one Riccati step at a time: value iteration
     ``P <- Q + Ad'PAd - Ad'PBd (R + Bd'PBd)^-1 Bd'PAd`` from ``P = Q`` on the
-    damped matrices, with the same divergence and convergence tests, then the
-    same policy-evaluation polish, each Lyapunov solve by ``dlyap_doubling``.
+    damped matrices, with the same divergence and convergence tests, then
+    three rounds of Hewer's policy iteration (greedy gain, then its value)
+    and a last evaluation of the final gain, where ``solve_dare`` polishes
+    with a single evaluation; each Lyapunov solve is by ``dlyap_doubling``.
     Its step count grows like ``1 / (1 - rho^2)`` for the slowest damped
     closed-loop mode ``rho``."""
     check_gamma(gamma)

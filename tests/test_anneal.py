@@ -967,24 +967,94 @@ def test_anneal_writes_manifest_and_gains_on_success(tmp_path):
     assert np.allclose([float(v) for v in last[2:]], gain.reshape(-1))
 
 
-def test_exact_gradient_query_solves_two_lyapunov_equations(monkeypatch):
+@pytest.fixture
+def dlyap_solves(monkeypatch):
+    """The shape of every ``dlyap`` call ``pgstab.lqr`` makes."""
+    shapes = []
+    inner = pgstab.lqr.dlyap
+
+    def counting(a_cl, sigma):
+        shapes.append(a_cl.shape)
+        return inner(a_cl, sigma)
+
+    monkeypatch.setattr(pgstab.lqr, "dlyap", counting)
+    return shapes
+
+
+def test_exact_gradient_query_solves_two_lyapunov_equations(dlyap_solves):
     # P_K and Sigma_K come from one stacked dlyap call: one eigenvalue check and
     # one batched solve, bit for bit the two separate solves
-    dlyap = pgstab.lqr.dlyap
-    solves = []
-
-    def counting_dlyap(a_cl, sigma):
-        solves.append(a_cl.shape)
-        return dlyap(a_cl, sigma)
-
     K = np.array([[-0.2, -0.9]])
     expected = lqr_grad_two_solves(SYS, COST, K, 0.5)
-    monkeypatch.setattr(pgstab.lqr, "dlyap", counting_dlyap)
     oracle = _ExactOracle(SYS, COST, AnnealConfig())
     grad = oracle.gradient(K, 0.5)
-    assert solves == [(2, SYS.d_x, SYS.d_x)]
+    assert dlyap_solves == [(2, SYS.d_x, SYS.d_x)]
     assert np.array_equal(grad, expected)
     assert oracle.grad_queries == 1 and oracle.eval_queries == 0
+
+
+@pytest.fixture
+def cost_solves(monkeypatch):
+    """The discount of every ``lqr_cost`` call the exact oracle makes."""
+    calls = []
+    inner = pgstab.anneal.lqr_cost
+
+    def counting(sys, cost, K, gamma):
+        calls.append(gamma)
+        return inner(sys, cost, K, gamma)
+
+    monkeypatch.setattr(pgstab.anneal, "lqr_cost", counting)
+    return calls
+
+
+def test_exact_evaluate_answers_a_repeat_from_its_last_result(cost_solves):
+    oracle = _ExactOracle(SYS, COST, AnnealConfig())
+    K = np.array([[-0.2, -0.9]])
+    first = oracle.evaluate(K, 0.5)
+    # a copy has the same bytes, so it is the same query
+    assert oracle.evaluate(K.copy(), 0.5) == first
+    assert len(cost_solves) == 1 and oracle.eval_queries == 2
+    assert first == (pgstab.lqr.lqr_cost(SYS, COST, K, 0.5), False)
+    # a lower cap on the repeat caps the kept cost
+    assert oracle.evaluate(K, 0.5, cap=1.0) == (1.0, True)
+    assert len(cost_solves) == 1 and oracle.eval_queries == 3
+
+
+def test_exact_evaluate_misses_on_another_discount_or_gain(cost_solves):
+    oracle = _ExactOracle(SYS, COST, AnnealConfig())
+    K = np.array([[-0.2, -0.9]])
+    oracle.evaluate(K, 0.5)
+    oracle.evaluate(K, np.nextafter(0.5, 1.0))
+    oracle.evaluate(K, 0.5)
+    oracle.evaluate(K + np.array([[0.0, 1e-15]]), 0.5)
+    # only the last answer is kept, so returning to an earlier query solves
+    # it again
+    assert len(cost_solves) == oracle.eval_queries == 4
+
+
+def test_exact_evaluate_repeat_of_an_unstable_gain_solves_nothing(dlyap_solves):
+    oracle = _ExactOracle(SYS, COST, AnnealConfig())
+    K = np.zeros((1, 2))  # rho(A) = 1.1: unstable undamped
+    assert oracle.evaluate(K, 1.0, cap=50.0) == (50.0, True)
+    assert oracle.evaluate(K, 1.0, cap=20.0) == (20.0, True)
+    assert oracle.evaluate(K, 1.0) == (np.inf, True)
+    assert len(dlyap_solves) == 1 and oracle.eval_queries == 3
+
+
+@pytest.mark.parametrize("index", [0, 5, 13, 39])
+def test_anneal_exact_solves_each_query_but_the_repeated_acceptance(
+    cost_solves, index
+):
+    # a solve's first cost query repeats the search query that accepted its
+    # discount, which the search made last, so only those go unsolved
+    lin = linear_suite_systems()[index]
+    _, state = discount_anneal(linear_as_nonlinear(lin))
+    repeats = sum(
+        prev.search_transcript[-1]["gamma"] == rec.gamma
+        for prev, rec in zip(state.history, state.history[1:])
+    )
+    assert repeats >= 1
+    assert len(cost_solves) == state.eval_queries - repeats
 
 
 def test_anneal_sampled_mode_stabilizes_linear_system():

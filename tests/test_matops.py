@@ -382,12 +382,28 @@ def test_solve_dare_matches_value_iteration():
                 continue
             p, k = solve_dare(sys, cost, gamma)
             # 1e-10, or the forward-error scale 16 u cond(P) where that is
-            # larger: 1.9e-10 on the draw with cond(P) = 4.2e5 at gamma = 1,
-            # whose two answers are 1.6e-10 and 2.4e-10 from scipy's
+            # larger: 1.5e-9 on the draw with cond(P) = 4.2e5 at gamma = 1
+            # (suite draw 39), whose two answers are 3.1e-10 apart, and
+            # 9.4e-11 and 2.2e-10 from scipy's
             tol = max(1e-10, 16 * np.finfo(float).eps * np.linalg.cond(p_ref))
             assert np.linalg.norm(p - p_ref) <= tol * np.linalg.norm(p_ref)
             assert np.linalg.norm(k - k_ref) <= tol * np.linalg.norm(k_ref)
     assert refused >= 100  # the non-stabilizable cases are really exercised
+
+
+def test_solve_dare_value_is_its_gains_own_cost():
+    # the polish is one policy evaluation: P is the Lyapunov value of the
+    # returned K, bit for bit, so tr P is the exact cost of a gain the caller
+    # holds
+    rng = np.random.default_rng(23)
+    systems = linear_suite_systems()
+    systems += [sample_stabilizable_system(rng, int(rng.integers(1, 6))) for _ in range(20)]
+    for sys in systems:
+        cost = CostSpec.identity(sys.d_x, sys.d_u)
+        for gamma in (0.3, 0.95, 1.0):
+            p, k = solve_dare(sys, cost, gamma)
+            a_cl = np.sqrt(gamma) * (sys.A + sys.B @ k)
+            assert np.array_equal(p, dlyap(a_cl, cost.Q + k.T @ cost.R @ k))
 
 
 def test_solve_dare_slow_stable_uncontrollable_mode():
