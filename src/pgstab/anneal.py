@@ -6,7 +6,8 @@ stable on the damped dynamics, solves the discounted problem to a fixed gap
 by policy gradients, then searches for the next discount at which the cost
 of the current gain grows by a constant factor (between ``C1`` and ``C2``).
 Repeating until gamma reaches 1 yields a stabilizing gain for the original
-system using only cost and gradient queries.
+system using only cost and gradient queries (only cost queries in exact
+mode, whose inner loop is policy iteration).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import files, oracles
 from .dynamics import NonlinearSystem, jacobian_linearization
-from .lqr import lqr_cost, lqr_grad
+from .lqr import lqr_cost, value_matrix
 from .matops import UnstableError, solve_dare, spectral_radius
 from .model import CostSpec, LinearSystem, check_gamma
 
@@ -305,92 +306,68 @@ def config_hash(cfg: AnnealConfig) -> str:
     return files.digest(cfg, *_UNHASHED[cfg.oracle_mode])
 
 
-def _bfgs_update(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The inverse Hessian after the pair (s, y): H itself when s'y is not a
-    positive finite number, else (I - rho s y') H (I - rho y s') + rho s s'
-    with rho = 1 / s'y."""
-    sy = float(s @ y)
-    if not (np.isfinite(sy) and sy > 0.0):
-        return H
-    rho = 1.0 / sy
-    V = np.eye(s.size) - rho * np.outer(s, y)
-    return V @ H @ V.T + rho * np.outer(s, s)
-
-
 @dataclass
 class _ExactOracle:
-    """Cost/gradient queries answered by the exact solvers on (A, B).
-    ``last_eval`` keeps the last (gamma, K) and its uncapped cost (inf if
-    unstable): an exact repeat is counted in ``eval_queries``, not solved."""
+    """Cost queries answered by the exact solvers on (A, B).  Its inner loop
+    needs no gradient, so ``grad_queries`` stays 0 in exact mode."""
 
     sys: LinearSystem
     cost: CostSpec
     cfg: AnnealConfig
     eval_queries: int = 0
     grad_queries: int = 0
-    last_eval: tuple = field(default=(None, np.inf), repr=False, compare=False)
-
-    def optimum(self, gamma: float) -> float:
-        p_star, _ = solve_dare(self.sys, self.cost, gamma)
-        return float(np.trace(p_star))
 
     def evaluate(self, K, gamma: float, cap: float = np.inf) -> tuple[float, bool]:
         self.eval_queries += 1
-        key = (gamma, np.shape(K), np.asarray(K, dtype=float).tobytes())
-        if self.last_eval[0] != key:
-            try:
-                self.last_eval = key, lqr_cost(self.sys, self.cost, K, gamma)
-            except UnstableError:
-                self.last_eval = key, np.inf
-        j = self.last_eval[1]
+        try:
+            j = lqr_cost(self.sys, self.cost, K, gamma)
+        except UnstableError:
+            j = np.inf
         return min(j, cap), j >= cap
 
-    def gradient(self, K, gamma: float) -> np.ndarray:
-        self.grad_queries += 1
-        return lqr_grad(self.sys, self.cost, K, gamma)
-
     def solve(self, K0, gamma: float) -> PgResult:
-        """Backtracking BFGS from K0 until the measured cost is within d_x of
-        the optimum at ``gamma``, in at most ``exact_max_steps`` steps.  The
-        inverse Hessian H over vec(K) starts at 1e-2 I and is updated by
-        ``_bfgs_update`` from each accepted step and the change in its
-        ``lqr_grad`` values (Nocedal & Wright, ch. 6).  Every step tries
-        K - H g, halved until the cost strictly falls."""
-        optimal_cost = self.optimum(gamma)
-        target_gap = float(self.sys.d_x)
-        best_k = np.array(K0, dtype=float)
-        # uncapped, an exact cost is finite or, on an unstable gain, inf
-        best_j, _ = self.evaluate(best_k, gamma)
-        if not np.isfinite(best_j):
-            raise ValueError("the cost at the initial gain is not finite")
-        H = 1e-2 * np.eye(best_k.size)
-        costs = [best_j]
-        last = None
-        while best_j - optimal_cost > target_gap:
+        """Policy iteration (Hewer 1971) from K0 until the cost is within d_x
+        of tr P*(gamma), the ``solve_dare`` optimum, in at most
+        ``exact_max_steps`` steps.  Each step moves to the greedy gain
+        ``-(R + gamma B'PB)^-1 gamma B'PA`` of the iterate's value matrix P,
+        the Gauss-Newton policy-gradient step at step size 1/2 (Fazel et al.
+        2018), and evaluates it by one ``value_matrix`` call, counted as a
+        cost query.  From a stable start every iterate stays stable and its
+        cost falls; an iterate that ``dlyap`` refuses, or whose cost does not
+        strictly fall, raises ``InnerDivergedError``."""
+        sys, cost = self.sys, self.cost
+        p_star, _ = solve_dare(sys, cost, gamma)
+        optimal_cost = float(np.trace(p_star))
+        K = np.array(K0, dtype=float)
+        self.eval_queries += 1
+        try:
+            P = value_matrix(sys, cost, K, gamma)
+        except UnstableError:
+            raise ValueError("the cost at the initial gain is not finite") from None
+        costs = [float(np.trace(P))]
+        while costs[-1] - optimal_cost > sys.d_x:
             if len(costs) > self.cfg.exact_max_steps:
                 raise BudgetExceededError(
-                    f"gap {best_j - optimal_cost:.3g} not reached "
-                    f"within {self.cfg.exact_max_steps} gradient steps"
+                    f"gap {costs[-1] - optimal_cost:.3g} not reached "
+                    f"within {self.cfg.exact_max_steps} policy-iteration steps"
                 )
-            grad = self.gradient(best_k, gamma)
-            if last is not None:
-                H = _bfgs_update(H, (best_k - last[0]).ravel(), (grad - last[1]).ravel())
-            last = best_k, grad
-            step = (H @ grad.ravel()).reshape(grad.shape)
-            for _ in range(80):
-                trial = best_k - step
-                jt, _ = self.evaluate(trial, gamma)
-                if jt < best_j:
-                    best_k, best_j = trial, jt
-                    break
-                step = 0.5 * step
-            else:
+            gbp = gamma * sys.B.T @ P
+            K = -np.linalg.solve(cost.R + gbp @ sys.B, gbp @ sys.A)
+            self.eval_queries += 1
+            try:
+                P = value_matrix(sys, cost, K, gamma)
+            except UnstableError as exc:
                 raise InnerDivergedError(
-                    f"line search stalled at cost {best_j:.6g} "
-                    f"(gap {best_j - optimal_cost:.3g} > {target_gap:.3g})"
+                    f"policy-iteration step {len(costs)} left the stable gains: {exc}"
+                ) from exc
+            j = float(np.trace(P))
+            if not j < costs[-1]:
+                raise InnerDivergedError(
+                    f"policy-iteration step {len(costs)} did not lower the cost "
+                    f"({costs[-1]:.6g} -> {j:.6g})"
                 )
-            costs.append(best_j)
-        return PgResult(best_k, len(costs) - 1, costs, best_j, optimal_cost)
+            costs.append(j)
+        return PgResult(K, len(costs) - 1, costs, costs[-1], optimal_cost)
 
 
 @dataclass
@@ -485,8 +462,9 @@ def discount_anneal(
     Once gamma reaches 1 a final policy-gradient solve runs undamped and the
     resulting gain is returned together with the run state.  Each solve is
     one ``policy_gradient`` call, which runs the oracle's own inner loop:
-    ``_ExactOracle.solve`` descends to within d_x of the Riccati optimum,
-    ``_SampledOracle.solve`` runs ``pg_steps`` Adam steps.
+    ``_ExactOracle.solve`` runs policy iteration, the Gauss-Newton policy
+    gradient step, to within d_x of the Riccati optimum and makes no
+    gradient query; ``_SampledOracle.solve`` runs ``pg_steps`` Adam steps.
 
     gamma_0 is ``min(1, 0.9 / ||A||^2)`` on the declared or linearized ``A``.
     Declared-linear systems are searched by bisection with evaluation

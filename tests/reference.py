@@ -8,8 +8,8 @@ two discount searches as separate loops, the discounted Riccati equation
 solved by plain value iteration, the discrete Lyapunov equation summed by
 doubling (``dlyap_doubling``, which also runs in extended precision), the
 residual of a discrete Lyapunov solution, the exact policy gradient from two
-separate Lyapunov solves, and the forward-sensitivity gradient stepped
-through the closed-loop Jacobian.
+separate Lyapunov solves, Hewer's policy iteration evaluated by scipy, and
+the forward-sensitivity gradient stepped through the closed-loop Jacobian.
 """
 
 from __future__ import annotations
@@ -412,3 +412,33 @@ def lqr_grad_two_solves(
     P = dlyap(damped, cost.Q + K.T @ cost.R @ K)
     sigma = dlyap(damped.T, np.eye(sys.d_x))
     return 2.0 * (cost.R @ K + gamma * sys.B.T @ P @ a_cl) @ sigma
+
+
+def policy_iteration_loop(
+    sys: LinearSystem,
+    cost: CostSpec,
+    K0: np.ndarray,
+    gamma: float,
+    stop_cost: float,
+) -> tuple[list[np.ndarray], list[float]]:
+    """The exact inner loop, Hewer's policy iteration, with each gain's value
+    matrix from ``scipy.linalg.solve_discrete_lyapunov``: evaluate the gain,
+    stop once its cost ``tr P`` is at most ``stop_cost``, else move to the
+    greedy gain ``-(R + gamma B'PB)^-1 gamma B'PA``.  Returns the gains and
+    costs of every iterate, the start's first.  Raises ``RuntimeError`` after
+    100 evaluations."""
+    from scipy.linalg import solve_discrete_lyapunov
+
+    A, B, Q, R = sys.A, sys.B, cost.Q, cost.R
+    K = np.asarray(K0, dtype=float)
+    gains, costs = [], []
+    for _ in range(100):
+        damped = np.sqrt(gamma) * (A + B @ K)
+        # scipy solves X = A X A' + Q, so it is handed A' for X = Q + A' X A
+        P = solve_discrete_lyapunov(damped.T, Q + K.T @ R @ K)
+        gains.append(K)
+        costs.append(float(np.trace(P)))
+        if costs[-1] <= stop_cost:
+            return gains, costs
+        K = -np.linalg.solve(R + gamma * B.T @ P @ B, gamma * B.T @ P @ A)
+    raise RuntimeError("policy iteration did not stop within 99 steps")

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import lqr_grad_two_solves
 
+import pgstab.lqr
 from pgstab.lqr import (
     NoWitnessFoundError,
     damp,
@@ -194,6 +196,26 @@ def test_lqr_grad_vanishes_at_optimum():
         g = lqr_grad(sys, cost, k_star, gamma)
         assert np.linalg.norm(g) <= 1e-7 * max(1.0, lqr_cost(sys, cost, k_star, gamma))
 
+
+
+def test_lqr_grad_solves_two_lyapunov_equations_in_one_call(monkeypatch):
+    # P_K and Sigma_K come from one stacked dlyap call: one eigenvalue check and
+    # one batched solve, bit for bit the two separate solves
+    sys = LinearSystem(np.array([[1.1, 0.5], [0.0, 0.7]]), np.array([[0.0], [1.0]]))
+    cost = CostSpec.identity(2, 1)
+    K = np.array([[-0.2, -0.9]])
+    expected = lqr_grad_two_solves(sys, cost, K, 0.5)
+    shapes = []
+    inner = pgstab.lqr.dlyap
+
+    def counting(a_cl, sigma):
+        shapes.append(a_cl.shape)
+        return inner(a_cl, sigma)
+
+    monkeypatch.setattr(pgstab.lqr, "dlyap", counting)
+    grad = lqr_grad(sys, cost, K, 0.5)
+    assert shapes == [(2, sys.d_x, sys.d_x)]
+    assert np.array_equal(grad, expected)
 
 def test_discount_growth_preserves_stability():
     # raising gamma by the factor (1/(8 ||P||^4) + 1)^2 keeps the current
