@@ -80,14 +80,15 @@ GUARD_FACTOR = 10.0
 @dataclass
 class PgResult:
     """One inner solve: the returned gain, the steps taken, the cost measured
-    at each step (the start's first), the measured cost of the returned gain,
-    and the optimal cost at the discount when the oracle knows it."""
+    at each step (the start's first), the value and cap flag of the last cost
+    query, of the returned gain, and the optimal cost when the oracle knows it."""
 
     gain: np.ndarray
     steps: int
     costs: list[float]
     cost: float
     optimal_cost: float | None = None
+    capped: bool = False
 
 
 def policy_gradient(oracle, K0: np.ndarray, gamma: float) -> PgResult:
@@ -331,43 +332,42 @@ class _ExactOracle:
         ``exact_max_steps`` steps.  Each step moves to the greedy gain
         ``-(R + gamma B'PB)^-1 gamma B'PA`` of the iterate's value matrix P,
         the Gauss-Newton policy-gradient step at step size 1/2 (Fazel et al.
-        2018), and evaluates it by one ``value_matrix`` call, counted as a
-        cost query.  From a stable start every iterate stays stable and its
-        cost falls; an iterate that ``dlyap`` refuses, or whose cost does not
-        strictly fall, raises ``InnerDivergedError``."""
+        2018).  The start and each step are evaluated by one counted
+        ``value_matrix`` call; the evaluation that stops the loop is returned.
+        From a stable start every iterate stays stable and its cost falls; an
+        iterate that ``dlyap`` refuses, or whose cost does not strictly fall,
+        raises ``InnerDivergedError``."""
         sys, cost = self.sys, self.cost
         p_star, _ = solve_dare(sys, cost, gamma)
         optimal_cost = float(np.trace(p_star))
         K = np.array(K0, dtype=float)
-        self.eval_queries += 1
-        try:
-            P = value_matrix(sys, cost, K, gamma)
-        except UnstableError:
-            raise ValueError("the cost at the initial gain is not finite") from None
-        costs = [float(np.trace(P))]
-        while costs[-1] - optimal_cost > sys.d_x:
-            if len(costs) > self.cfg.exact_max_steps:
-                raise BudgetExceededError(
-                    f"gap {costs[-1] - optimal_cost:.3g} not reached "
-                    f"within {self.cfg.exact_max_steps} policy-iteration steps"
-                )
-            gbp = gamma * sys.B.T @ P
-            K = -np.linalg.solve(cost.R + gbp @ sys.B, gbp @ sys.A)
+        costs: list[float] = []
+        while True:
             self.eval_queries += 1
             try:
                 P = value_matrix(sys, cost, K, gamma)
             except UnstableError as exc:
+                if not costs:
+                    raise ValueError("the cost at the initial gain is not finite") from None
                 raise InnerDivergedError(
                     f"policy-iteration step {len(costs)} left the stable gains: {exc}"
                 ) from exc
             j = float(np.trace(P))
-            if not j < costs[-1]:
+            if costs and not j < costs[-1]:
                 raise InnerDivergedError(
                     f"policy-iteration step {len(costs)} did not lower the cost "
                     f"({costs[-1]:.6g} -> {j:.6g})"
                 )
             costs.append(j)
-        return PgResult(K, len(costs) - 1, costs, costs[-1], optimal_cost)
+            if not j - optimal_cost > sys.d_x:
+                return PgResult(K, len(costs) - 1, costs, j, optimal_cost)
+            if len(costs) > self.cfg.exact_max_steps:
+                raise BudgetExceededError(
+                    f"gap {j - optimal_cost:.3g} not reached "
+                    f"within {self.cfg.exact_max_steps} policy-iteration steps"
+                )
+            gbp = gamma * sys.B.T @ P
+            K = -np.linalg.solve(cost.R + gbp @ sys.B, gbp @ sys.A)
 
 
 @dataclass
@@ -403,8 +403,9 @@ class _SampledOracle:
     def solve(self, K0, gamma: float) -> PgResult:
         """``pg_steps`` Adam steps from K0 at the rate ``0.01 / radius``;
         returns the iterate whose own gradient query estimated the lowest
-        cost.  GUARD_WINDOW consecutive estimates that are capped, not finite
-        or above GUARD_FACTOR times the first raise ``InnerDivergedError``."""
+        cost, with one fresh cost query of it (that lowest one is biased low).
+        GUARD_WINDOW consecutive estimates that are capped, not finite or
+        above GUARD_FACTOR times the first raise ``InnerDivergedError``."""
         opt = AdamOptimizer(0.01 / self.cfg.oracle.radius)
         K = np.array(K0, dtype=float)
         best_k, best_j = None, np.inf
@@ -430,7 +431,8 @@ class _SampledOracle:
             K = K - opt.update(grad)
         if best_k is None:
             raise InnerDivergedError("no finite cost estimate observed")
-        return PgResult(best_k, self.cfg.pg_steps, costs, best_j)
+        j, capped = self.evaluate(best_k, gamma)
+        return PgResult(best_k, self.cfg.pg_steps, costs, j, capped=capped)
 
 
 def _write_manifest(cfg: AnnealConfig, state: AnnealState) -> None:
@@ -465,6 +467,8 @@ def discount_anneal(
     ``_ExactOracle.solve`` runs policy iteration, the Gauss-Newton policy
     gradient step, to within d_x of the Riccati optimum and makes no
     gradient query; ``_SampledOracle.solve`` runs ``pg_steps`` Adam steps.
+    The solve's last cost query, of its gain, is the J the search and
+    ``cost_end`` read; below gamma = 1 it must be finite and uncapped.
 
     gamma_0 is ``min(1, 0.9 / ||A||^2)`` on the declared or linearized ``A``.
     Declared-linear systems are searched by bisection with evaluation
@@ -477,8 +481,8 @@ def discount_anneal(
     linearization at the origin.
 
     A failed inner solve or search raises an ``AnnealError``
-    (``InnerDivergedError`` or ``BudgetExceededError``) whose
-    ``anneal_iteration`` is the outer iteration that failed.
+    (``InnerDivergedError`` or ``BudgetExceededError``).  Every exception raised
+    in an outer iteration carries that iteration as ``anneal_iteration``.
 
     ``resume_from`` continues the run a manifest holds, under the same
     ``config_hash``, which covers only the fields the oracle mode reads.  A
@@ -533,26 +537,20 @@ def discount_anneal(
         try:
             pg = policy_gradient(oracle, K, gamma)
             K = pg.gain
-            j_hat = pg.cost
             if not final:
-                if cfg.oracle_mode == "sampled":
-                    # the exact solve's pg.cost is already this query's value;
-                    # a sampled solve's is the lowest of its own estimates, so
-                    # the search bracket takes a fresh, unbiased one instead
-                    j_hat, j_capped = oracle.evaluate(K, gamma)
-                    if j_capped or not np.isfinite(j_hat):
-                        raise InnerDivergedError(
-                            f"cost estimate at gamma={gamma:g} is not finite "
-                            "after the inner solve"
-                        )
-                depth = math.ceil(4.0 * math.log(max(math.e, C2 * j_hat)))
+                if pg.capped or not np.isfinite(pg.cost):
+                    raise InnerDivergedError(
+                        f"cost estimate at gamma={gamma:g} is not finite "
+                        "after the inner solve"
+                    )
+                depth = math.ceil(4.0 * math.log(max(math.e, C2 * pg.cost)))
                 bracket = SearchBracket(
-                    f1_bar=(C1 + 0.25) * j_hat,
-                    f2_bar=(C2 - 0.75) * j_hat,
+                    f1_bar=(C1 + 0.25) * pg.cost,
+                    f2_bar=(C2 - 0.75) * pg.cost,
                     eps=eps,
                     budget=3 * (depth + 10),
                 )
-                cap = C2 * j_hat + 2.0 * eps
+                cap = C2 * pg.cost + 2.0 * eps
 
                 def evaluator(g: float) -> float:
                     value, capped = oracle.evaluate(K, g, cap=cap)
@@ -570,18 +568,18 @@ def discount_anneal(
                     gamma_next = random_search_gamma(evaluator, gamma, bracket, rng)
                 if gamma_next > 1.0 - 1e-12:
                     gamma_next = 1.0
-        except AnnealError as exc:
-            exc.anneal_iteration = t
-            raise
         except oracles.DivergedAllError as exc:
             raise InnerDivergedError(str(exc), iteration=t) from exc
+        except Exception as exc:
+            exc.anneal_iteration = t
+            raise
         state.history.append(
             IterationRecord(
                 gamma=1.0 if final else gamma,
                 gamma_next=gamma_next,
                 inner_steps=pg.steps,
                 cost_start=pg.costs[0],
-                cost_end=j_hat,
+                cost_end=pg.cost,
                 optimal_cost=pg.optimal_cost,
                 search_transcript=transcript,
                 gain=K.tolist(),

@@ -302,27 +302,18 @@ def run_cartpole(cfg: CartpoleBenchConfig) -> dict:
             seed_ij = int(
                 np.random.SeedSequence(cfg.seed, spawn_key=(i, j)).generate_state(1)[0]
             )
-            oracle_cfg = _oracle(cfg, radius, seed_ij)
             anneal_cfg = AnnealConfig(
                 oracle_mode="sampled",
                 seed=seed_ij,
-                oracle=oracle_cfg,
+                oracle=_oracle(cfg, radius, seed_ij),
                 pg_steps=cfg.pg_steps,
                 max_outer=cfg.max_outer,
             )
             K_hat, state = discount_anneal(sys, cost, anneal_cfg)
             roa = estimate_roa(sys, K_hat, cfg.roa)
-            sampled = oracles.eps_eval(
-                sys,
-                K_hat,
-                1.0,
-                oracle_cfg,
-                cost,
-                query_index=state.eval_queries + state.grad_queries + 1,
-            )
             roas.append(roa.rho_roa)
             iters.append(state.outer_iterations)
-            final_costs.append(sampled.value)
+            final_costs.append(state.history[-1].cost_end)
             trace_rows = []
             for t, rec in enumerate(state.history):
                 _, k_lin = solve_dare(lin, cost, rec.gamma)

@@ -130,8 +130,7 @@ def _cmd_roa(args, cfg: dict) -> dict:
 
 
 def _cmd_counterexample(args, cfg: dict) -> dict:
-    gamma = cfg.get("gamma", 0.9 / 4.0)
-    return run_counterexample(gamma=gamma, out_dir=args.out)
+    return run_counterexample(out_dir=args.out, **cfg)
 
 
 def _cmd_baseline_lqr(args, cfg: dict) -> dict:

@@ -39,7 +39,7 @@ class NonlinearSystem:
         ``(N, d_x)``, ``(N, d_x, d_x)`` and ``(N, d_x, d_u)``; ``X'`` must
         equal ``step(X, U)`` exactly.  Callers read the Jacobians and never
         write to them, so read-only views are allowed.
-    name : short descriptor used in reports.
+    name : a label for the caller; the library does not read it.
     linear : the exact ``LinearSystem`` when the dynamics are declared
         linear, else ``None``.  Declared-linear systems get the cheaper
         search strategy during annealing.

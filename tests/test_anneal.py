@@ -34,9 +34,14 @@ from pgstab.anneal import (
     random_search_gamma,
 )
 from pgstab.dynamics import NonlinearSystem, jacobian_linearization, linear_as_nonlinear
-from pgstab.matops import UnstableError, solve_dare, spectral_radius
+from pgstab.matops import (
+    NotStabilizableError,
+    UnstableError,
+    solve_dare,
+    spectral_radius,
+)
 from pgstab.model import CostSpec, LinearSystem
-from pgstab.oracles import DivergedAllError, OracleConfig
+from pgstab.oracles import DivergedAllError, OracleConfig, eps_eval
 
 SYS = LinearSystem(np.array([[1.1, 0.5], [0.0, 0.7]]), np.array([[0.0], [1.0]]))
 COST = CostSpec.identity(2, 1)
@@ -179,8 +184,8 @@ def test_anneal_exact_counts_one_cost_query_per_step_and_search_query(index):
 
 
 class SyntheticOracle(_SampledOracle):
-    """A sampled oracle whose gradient queries answer from ``grad_fn(K)``;
-    its Adam rate ``0.01 / radius`` is ``learning_rate``."""
+    """A sampled oracle whose gradient and cost queries answer from
+    ``grad_fn(K)``; its Adam rate ``0.01 / radius`` is ``learning_rate``."""
 
     def __init__(self, grad_fn, learning_rate: float, pg_steps: int):
         cfg = AnnealConfig(
@@ -194,6 +199,11 @@ class SyntheticOracle(_SampledOracle):
     def gradient(self, K, gamma):
         self.grad_queries += 1
         return self.grad_fn(K)
+
+    def evaluate(self, K, gamma, cap=np.inf):
+        self.eval_queries += 1
+        _, value, capped = self.grad_fn(K)
+        return value, capped
 
 
 def quadratic_grad(target):
@@ -734,11 +744,65 @@ def test_anneal_tags_all_diverged_gradient_query_with_iteration():
     assert isinstance(excinfo.value.__cause__, DivergedAllError)
 
 
+def test_anneal_tags_riccati_failure_with_iteration(monkeypatch):
+    # the second solve_dare call is the exact solve of outer iteration 1
+    calls = []
+    inner = pgstab.anneal.solve_dare
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise NotStabilizableError("injected")
+        return inner(*args)
+
+    monkeypatch.setattr(pgstab.anneal, "solve_dare", failing)
+    with pytest.raises(NotStabilizableError) as excinfo:
+        discount_anneal(linear_as_nonlinear(SYS))
+    assert excinfo.value.anneal_iteration == 1
+
+
 SAMPLED_50x100 = AnnealConfig(
     oracle_mode="sampled",
     oracle=OracleConfig(n_rollouts=50, horizon=100, radius=1.0, seed=0),
     pg_steps=40,
 )
+ZEROTH_50x100 = replace(
+    SAMPLED_50x100, oracle=replace(SAMPLED_50x100.oracle, estimator="zeroth")
+)
+
+
+def test_anneal_tags_simulator_failure_with_iteration(monkeypatch):
+    # the simulator fails on its first step in the second solve, that of
+    # outer iteration 1, in a zeroth-order gradient query
+    started = []
+    inner = pgstab.anneal.policy_gradient
+
+    def counting(*args):
+        started.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(pgstab.anneal, "policy_gradient", counting)
+    nls = linear_as_nonlinear(SYS)
+
+    def step(x, u):
+        if len(started) == 2:
+            raise FloatingPointError("injected")
+        return nls.step(x, u)
+
+    with pytest.raises(FloatingPointError) as excinfo:
+        discount_anneal(replace(nls, step=step), cfg=ZEROTH_50x100)
+    assert excinfo.value.anneal_iteration == 1
+
+
+@pytest.mark.parametrize(
+    "cfg", [SAMPLED_50x100, ZEROTH_50x100], ids=["sensitivity", "zeroth"]
+)
+def test_anneal_sampled_counts_one_cost_query_per_solve_and_search_query(cfg):
+    # each solve makes pg_steps gradient queries and one cost query of the
+    # gain it returns, each search one cost query per discount it tries
+    _, state = discount_anneal(linear_as_nonlinear(SYS), cfg=cfg)
+    assert state.eval_queries == sum(rec.search_queries + 1 for rec in state.history)
+    assert state.grad_queries == sum(rec.inner_steps for rec in state.history)
 
 
 @pytest.mark.parametrize(
@@ -812,12 +876,29 @@ def test_anneal_solves_once_per_outer_iteration_through_policy_gradient(solves, 
     assert np.array_equal(solves[-1].gain, gain)
 
 
-def test_anneal_sampled_final_cost_is_the_returned_gains_estimate(solves):
-    _, state = discount_anneal(linear_as_nonlinear(SYS), cfg=SAMPLED_50x100)
-    final = solves[-1]
-    # the returned gain is the iterate with the lowest estimate, not the last
-    assert state.history[-1].cost_end == final.cost == min(final.costs)
-    assert final.cost < final.costs[-1]
+def test_anneal_sampled_final_cost_is_a_fresh_estimate_of_the_returned_gain(
+    monkeypatch,
+):
+    estimates = []  # every gradient query's iterate and estimate, in order
+    inner = _SampledOracle.gradient
+
+    def recording(self, K, gamma):
+        grad, value, capped = inner(self, K, gamma)
+        estimates.append((np.array(K), value))
+        return grad, value, capped
+
+    monkeypatch.setattr(_SampledOracle, "gradient", recording)
+    nls = linear_as_nonlinear(SYS)
+    gain, state = discount_anneal(nls, cfg=SAMPLED_50x100)
+    # the returned gain is still the final solve's iterate with the lowest
+    # estimate, and cost_end is the run's last query: a fresh estimate of it
+    k_best, _ = min(estimates[-SAMPLED_50x100.pg_steps:], key=lambda e: e[1])
+    assert np.array_equal(gain, k_best)
+    fresh = eps_eval(
+        nls, gain, 1.0, SAMPLED_50x100.oracle, COST,
+        query_index=state.eval_queries + state.grad_queries - 1,
+    )
+    assert state.history[-1].cost_end == fresh.value
 
 
 def test_anneal_sampled_manifest_is_strict_json(tmp_path):

@@ -185,7 +185,10 @@ def test_cli_anneal_cartpole_writes_its_reports(tmp_path, capsys):
         (row,) = list(csv.DictReader(fh))
     assert int(row["trials"]) == 1
     with open(out / "trace_r0.1_trial0.csv") as fh:
-        assert len(list(csv.DictReader(fh))) == int(row["iters_max"])
+        trace = list(csv.DictReader(fh))
+    assert len(trace) == int(row["iters_max"])
+    # the final cost is the run's own last estimate, not a second one
+    assert row["final_cost_min"] == row["final_cost_max"] == trace[-1]["cost"]
     with open(out / "baselines.csv") as fh:
         assert [r["label"] for r in csv.DictReader(fh)] == ["lqr_linearization", "hinf"]
     meta = json.loads((out / "cartpole.meta.json").read_text())
