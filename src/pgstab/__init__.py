@@ -11,7 +11,6 @@ from .anneal import (
 from .bench import (
     CartpoleBenchConfig,
     LinearSuiteConfig,
-    RoaConfig,
     RoaReport,
     estimate_roa,
     run_cartpole,
@@ -69,7 +68,6 @@ __all__ = [
     "NotStabilizableError",
     "OracleConfig",
     "QueryResult",
-    "RoaConfig",
     "RoaReport",
     "UnstableError",
     "cartpole",

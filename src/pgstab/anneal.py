@@ -76,6 +76,8 @@ C2 = 8.0
 GUARD_WINDOW = 5
 GUARD_FACTOR = 10.0
 
+RANDOM_SEARCH_QUERIES = 501  # random search's budget: gamma = 1, then 500 samples
+
 
 @dataclass
 class PgResult:
@@ -103,14 +105,15 @@ class SearchBracket:
     """Accept window for the discount search.
 
     ``f1_bar`` and ``f2_bar`` are the estimated lower/upper cost targets
-    (about ``C1`` and ``C2`` times the cost at the current discount) and
-    ``eps`` the evaluation tolerance used in the accept rule.
+    (about ``C1`` and ``C2`` times the cost at the current discount),
+    ``eps`` the evaluation tolerance used in the accept rule and ``budget``
+    the most queries a search may make, the gamma = 1 query included.
     """
 
     f1_bar: float
     f2_bar: float
     eps: float
-    budget: int = 200
+    budget: int
 
     def __post_init__(self):
         if not (0.0 < self.f1_bar < self.f2_bar):
@@ -127,13 +130,12 @@ def _search(
     bracket: SearchBracket,
     propose: Callable[[float, float], float],
     tol: float,
-    limit: int,
 ) -> float:
     """The loop both discount searches share.
 
     Queries gamma = 1 first and returns 1 when even there the cost does not
     exceed ``f2_bar + eps`` (termination branch).  Then evaluates up to
-    ``limit`` proposals ``x = propose(lo, hi)``: a value above
+    ``bracket.budget - 1`` proposals ``x = propose(lo, hi)``: a value above
     ``f2_bar + tol`` (or NaN) moves ``hi`` down to x, one below
     ``f1_bar + tol`` moves ``lo`` up to x, and any other is accepted.
     """
@@ -141,7 +143,7 @@ def _search(
     if float(evaluator(1.0)) <= bracket.f2_bar + bracket.eps:
         return 1.0
     lo, hi = gamma_t, 1.0
-    for _ in range(limit):
+    for _ in range(bracket.budget - 1):
         x = propose(lo, hi)
         a = float(evaluator(x))
         if not a <= bracket.f2_bar + tol:
@@ -150,7 +152,7 @@ def _search(
             lo = x
         else:
             return x
-    raise BudgetExceededError(f"no acceptable discount in {limit + 1} queries")
+    raise BudgetExceededError(f"no acceptable discount in {bracket.budget} queries")
 
 
 def binary_search_gamma(
@@ -166,7 +168,7 @@ def binary_search_gamma(
     def mid(lo: float, hi: float) -> float:
         return 0.5 * (lo + hi)
 
-    return _search(evaluator, gamma_t, bracket, mid, bracket.eps, bracket.budget - 1)
+    return _search(evaluator, gamma_t, bracket, mid, bracket.eps)
 
 
 def random_search_gamma(
@@ -174,18 +176,17 @@ def random_search_gamma(
     gamma_t: float,
     bracket: SearchBracket,
     rng: np.random.Generator,
-    max_iters: int = 500,
 ) -> float:
     """Monotonicity-free discount search: sample gamma uniform on [gamma_t, 1]
     and accept when the capped cost lands inside [f1_bar, f2_bar].
 
     Uses the same gamma = 1 termination branch as the binary search and at
-    most ``max_iters`` samples after it.
+    most ``bracket.budget`` queries, that one included.
     """
     def uniform(lo: float, hi: float) -> float:
         return float(rng.uniform(gamma_t, 1.0))
 
-    return _search(evaluator, gamma_t, bracket, uniform, 0.0, max_iters)
+    return _search(evaluator, gamma_t, bracket, uniform, 0.0)
 
 
 @dataclass
@@ -473,7 +474,8 @@ def discount_anneal(
     gamma_0 is ``min(1, 0.9 / ||A||^2)`` on the declared or linearized ``A``.
     Declared-linear systems are searched by bisection with evaluation
     tolerance ``0.1 d_x`` and ``3 (ceil(4 ln max(e, C2 J)) + 10)`` queries for
-    a gain of cost J, others by seeded random search with ``0.01 d_x``.
+    a gain of cost J, others by seeded random search with ``0.01 d_x`` and
+    ``RANDOM_SEARCH_QUERIES`` queries.
 
     The returned gain is certified on the declared or linearized system:
     ``spectral_radius(A + B K) < 1`` or ``UnstableError`` is raised.  For a
@@ -548,7 +550,7 @@ def discount_anneal(
                     f1_bar=(C1 + 0.25) * pg.cost,
                     f2_bar=(C2 - 0.75) * pg.cost,
                     eps=eps,
-                    budget=3 * (depth + 10),
+                    budget=3 * (depth + 10) if declared_linear else RANDOM_SEARCH_QUERIES,
                 )
                 cap = C2 * pg.cost + 2.0 * eps
 

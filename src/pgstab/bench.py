@@ -30,25 +30,12 @@ from .model import CostSpec, LinearSystem, as_gain
 # tooling; reported for comparison only, never computed here.
 HINF_REFERENCE_ROA = 0.506
 
-
-@dataclass(frozen=True)
-class RoaConfig:
-    """Settings for the sampled region-of-attraction estimate."""
-
-    directions: int = 64
-    horizon: int = 2000
-    delta_conv: float = 1e-3
-    tol: float = 1e-3
-    ceiling: float = 3.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.directions < 1 or self.horizon < 1:
-            raise ValueError("RoaConfig directions and horizon must be at least 1")
-        if not 0.0 < self.delta_conv < 1.0:
-            raise ValueError(f"delta_conv must lie in (0, 1), got {self.delta_conv}")
-        if not (self.tol > 0.0 and 0.0 < self.ceiling < math.inf):
-            raise ValueError("RoaConfig needs tol > 0 and a finite ceiling > 0")
+# The one region-of-attraction estimate criteria 6 and 7 bound (see estimate_roa)
+ROA_DIRECTIONS = 64
+ROA_HORIZON = 2000
+ROA_DELTA_CONV = 1e-3
+ROA_TOL = 1e-3
+ROA_CEILING = 3.0
 
 
 @dataclass
@@ -56,13 +43,13 @@ class RoaReport:
     rho_roa: float
     radii: np.ndarray
     directions: np.ndarray
-    config: RoaConfig
+    seed: int
 
     def to_dict(self) -> dict:
         return {
             "rho_roa": self.rho_roa,
             "radii": self.radii.tolist(),
-            "config": asdict(self.config),
+            "seed": self.seed,
         }
 
 
@@ -75,7 +62,7 @@ def _converged_mask(
 ) -> np.ndarray:
     """True per rollout if the undamped closed loop reaches ||x|| <= target
     within ``horizon`` steps.  The start itself is not tested: ``estimate_roa``
-    starts every row outside its target, since ``delta_conv < 1``."""
+    starts every row outside its target, since ``ROA_DELTA_CONV < 1``."""
     Kt = np.asarray(K, dtype=float).T.copy()
     tgt2 = np.asarray(targets, dtype=float) ** 2
 
@@ -86,27 +73,25 @@ def _converged_mask(
     return lockstep(x0s, horizon, advance, (tgt2,)).stopped
 
 
-def estimate_roa(
-    sys: NonlinearSystem, K: np.ndarray, cfg: RoaConfig | None = None
-) -> RoaReport:
+def estimate_roa(sys: NonlinearSystem, K: np.ndarray, seed: int = 0) -> RoaReport:
     """Largest sphere of initial states from which the closed loop converges.
 
-    Draws seeded random unit directions, bisects the critical radius along
-    each (convergence means reaching ``||x|| <= delta_conv * radius`` within
-    the horizon), and reports the minimum over directions.  Directions that
-    still converge at the search ceiling report the ceiling.  A gain that
-    is not finite or not ``(d_u, d_x)`` is refused with a ``ValueError``.
+    Draws ``ROA_DIRECTIONS`` random unit directions seeded by ``seed``, bisects
+    the critical radius along each to ``ROA_TOL`` (convergence means reaching
+    ``||x|| <= ROA_DELTA_CONV * radius`` within ``ROA_HORIZON`` steps), and
+    reports the minimum over directions.  Directions that still converge at
+    ``ROA_CEILING`` report the ceiling.  A gain that is not finite or not
+    ``(d_u, d_x)`` is refused with a ``ValueError``.
     """
     K = as_gain(K, sys.d_u, sys.d_x)
-    cfg = cfg or RoaConfig()
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0xD18,)))
-    dirs = rng.standard_normal((cfg.directions, sys.d_x))
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xD18,)))
+    dirs = rng.standard_normal((ROA_DIRECTIONS, sys.d_x))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
-    lo = np.zeros(cfg.directions)
-    hi = np.full(cfg.directions, cfg.ceiling)
-    open_dirs = np.arange(cfg.directions)
-    rounds = max(1, math.ceil(math.log2(cfg.ceiling / cfg.tol)))
+    lo = np.zeros(ROA_DIRECTIONS)
+    hi = np.full(ROA_DIRECTIONS, ROA_CEILING)
+    open_dirs = np.arange(ROA_DIRECTIONS)
+    rounds = max(1, math.ceil(math.log2(ROA_CEILING / ROA_TOL)))
     for r in range(rounds + 1):
         if open_dirs.size == 0:
             break
@@ -116,15 +101,13 @@ def estimate_roa(
             sys,
             K,
             mid[:, None] * dirs[open_dirs],
-            cfg.horizon,
-            cfg.delta_conv * mid,
+            ROA_HORIZON,
+            ROA_DELTA_CONV * mid,
         )
         lo[open_dirs[conv]] = mid[conv]
         hi[open_dirs[~conv]] = mid[~conv]
-        open_dirs = open_dirs[(hi[open_dirs] - lo[open_dirs]) > cfg.tol]
-    return RoaReport(
-        rho_roa=float(lo.min()), radii=lo, directions=dirs, config=cfg
-    )
+        open_dirs = open_dirs[(hi[open_dirs] - lo[open_dirs]) > ROA_TOL]
+    return RoaReport(rho_roa=float(lo.min()), radii=lo, directions=dirs, seed=seed)
 
 
 def _write_meta(out_dir: Path, name: str, config_obj) -> None:
@@ -170,8 +153,8 @@ class LinearSuiteConfig:
 
     def __post_init__(self):
         self.dims, self.modes = tuple(self.dims), tuple(self.modes)
-        if self.instances < 1 or not self.dims or min(self.dims) < 1:
-            raise ValueError("LinearSuiteConfig needs instances >= 1 and dims >= 1")
+        if self.instances < 1 or not self.dims or any(d < 1 or d % 1 for d in self.dims):
+            raise ValueError("LinearSuiteConfig needs instances >= 1 and integer dims >= 1")
         if not self.modes or not set(self.modes) <= {"exact", "sampled"}:
             raise ValueError(f"modes must be 'exact' or 'sampled', got {self.modes}")
         _oracle(self, 1.0, 0)  # OracleConfig's checks run here, before any instance
@@ -271,7 +254,6 @@ class CartpoleBenchConfig:
     pg_steps: int = 120  # Adam steps per solve, at the rate 0.01 / radius
     estimator: str = "sensitivity"
     max_outer: int = 30
-    roa: RoaConfig = field(default_factory=RoaConfig)
     params: CartPoleParams = field(default_factory=CartPoleParams)
     out_dir: str | None = None
 
@@ -279,7 +261,8 @@ class CartpoleBenchConfig:
         self.radii = tuple(self.radii)
         if not self.radii or self.trials < 1:
             raise ValueError("CartpoleBenchConfig needs radii and trials >= 1")
-        _oracle(self, 1.0, 0)  # OracleConfig's checks run here, before any trial
+        for r in self.radii:  # OracleConfig's checks run here, before any trial
+            _oracle(self, r, 0)
 
 
 def run_cartpole(cfg: CartpoleBenchConfig) -> dict:
@@ -310,7 +293,7 @@ def run_cartpole(cfg: CartpoleBenchConfig) -> dict:
                 max_outer=cfg.max_outer,
             )
             K_hat, state = discount_anneal(sys, cost, anneal_cfg)
-            roa = estimate_roa(sys, K_hat, cfg.roa)
+            roa = estimate_roa(sys, K_hat)
             roas.append(roa.rho_roa)
             iters.append(state.outer_iterations)
             final_costs.append(state.history[-1].cost_end)
@@ -344,7 +327,7 @@ def run_cartpole(cfg: CartpoleBenchConfig) -> dict:
             ]
         )
 
-    baseline = run_lqr_baseline(cfg.params, cfg.roa)
+    baseline = run_lqr_baseline(cfg.params)
     baselines = [
         ["lqr_linearization", baseline["rho_roa"], "computed"],
         ["hinf", HINF_REFERENCE_ROA, "external"],
@@ -394,7 +377,7 @@ def run_counterexample(gamma: float = 0.9 / 4.0, out_dir: str | None = None) -> 
 
 def run_lqr_baseline(
     params: CartPoleParams | None = None,
-    roa: RoaConfig | None = None,
+    seed: int = 0,
     out_dir: str | None = None,
 ) -> dict:
     """Exact LQR gain on the cart-pole linearization and its measured ROA."""
@@ -402,7 +385,7 @@ def run_lqr_baseline(
     lin = jacobian_linearization(sys)
     cost = CostSpec.identity(lin.d_x, lin.d_u)
     _, k_lqr = solve_dare(lin, cost, 1.0)
-    report = estimate_roa(sys, k_lqr, roa)
+    report = estimate_roa(sys, k_lqr, seed)
     record = {
         "gain": k_lqr.tolist(),
         "rho_roa": report.rho_roa,

@@ -23,7 +23,6 @@ from . import files
 from .bench import (
     CartpoleBenchConfig,
     LinearSuiteConfig,
-    RoaConfig,
     estimate_roa,
     run_cartpole,
     run_counterexample,
@@ -64,17 +63,14 @@ def _fields(cls) -> set[str]:
 
 
 # accepted config keys inside the nested objects and per system kind
-_NESTED_KEYS = {
-    "roa": _fields(RoaConfig),
-    "params": _fields(CartPoleParams),
-}
+_NESTED_KEYS = {"params": _fields(CartPoleParams)}
 _SYSTEM_KEYS = {"cartpole": {"kind", "params"}, "linear": {"kind", "A", "B"}}
 _OBJECT_KEYS = {"system", *_NESTED_KEYS}
 
 
 def _check_keys(cfg: dict, accepted: set[str], where: str) -> None:
     """Refuse any config key the command would otherwise silently ignore, and
-    any value of ``system``, ``roa`` or ``params`` that is not an object."""
+    any value of ``system`` or ``params`` that is not an object."""
     for key, value in cfg.items():
         if key not in accepted:
             raise ValueError(
@@ -107,23 +103,20 @@ def _cmd_anneal_linear(args, cfg: dict) -> dict:
 
 def _cmd_anneal_cartpole(args, cfg: dict) -> dict:
     kwargs = _with_flags(args, cfg)
-    if "roa" in cfg:
-        kwargs["roa"] = RoaConfig(**cfg["roa"])
     if "params" in cfg:
         kwargs["params"] = CartPoleParams(**cfg["params"])
     result = run_cartpole(CartpoleBenchConfig(**kwargs))
     return {"table": result["table"], "out_dir": kwargs.get("out_dir")}
 
 
-def _roa_config(args, cfg: dict) -> RoaConfig:
-    """The config's ``roa`` object with the ``--seed`` override applied."""
-    seed = {} if args.seed is None else {"seed": args.seed}
-    return RoaConfig(**{**cfg.get("roa", {}), **seed})
+def _seed(args, cfg: dict) -> int:
+    """The config's ``seed`` with the ``--seed`` override applied."""
+    return cfg.get("seed", 0) if args.seed is None else args.seed
 
 
 def _cmd_roa(args, cfg: dict) -> dict:
     sys_obj = _system_from_spec(cfg.get("system", {}))
-    report = estimate_roa(sys_obj, cfg.get("gain"), _roa_config(args, cfg))
+    report = estimate_roa(sys_obj, cfg.get("gain"), _seed(args, cfg))
     if args.out is not None:
         files.write_json(Path(args.out) / "roa.json", report.to_dict())
     return {"rho_roa": report.rho_roa, "out_dir": args.out}
@@ -135,7 +128,7 @@ def _cmd_counterexample(args, cfg: dict) -> dict:
 
 def _cmd_baseline_lqr(args, cfg: dict) -> dict:
     params = CartPoleParams(**cfg.get("params", {}))
-    return run_lqr_baseline(params, _roa_config(args, cfg), out_dir=args.out)
+    return run_lqr_baseline(params, _seed(args, cfg), out_dir=args.out)
 
 
 _FLAGS = {
@@ -155,9 +148,9 @@ _COMMANDS = {
     "anneal-cartpole": (
         _cmd_anneal_cartpole, _fields(CartpoleBenchConfig), ("--seed", "--estimator")
     ),
-    "roa": (_cmd_roa, {"system", "gain", "roa"}, ("--seed",)),
+    "roa": (_cmd_roa, {"system", "gain", "seed"}, ("--seed",)),
     "counterexample": (_cmd_counterexample, {"gamma"}, ()),
-    "baseline-lqr": (_cmd_baseline_lqr, {"params", "roa"}, ("--seed",)),
+    "baseline-lqr": (_cmd_baseline_lqr, {"params", "seed"}, ("--seed",)),
 }
 
 

@@ -86,8 +86,8 @@ class CartPoleParams:
 
     def __post_init__(self):
         for name in ("m_p", "m_c", "l", "g", "ts"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 def cartpole(params: CartPoleParams | None = None) -> NonlinearSystem:

@@ -19,6 +19,9 @@ from .matops import NotStabilizableError, dlyap, solve_dare, spectral_radius
 from .model import CostSpec, LinearSystem, check_gamma
 
 
+BETA_FLOOR = 1e-12
+
+
 class NoWitnessFoundError(RuntimeError):
     """The counterexample search exhausted its grid without a witness."""
 
@@ -93,16 +96,14 @@ class ShapingWitness(NamedTuple):
     rho_undamped: float
 
 
-def reward_shaping_counterexample(
-    gamma: float, *, beta_floor: float = 1e-12
-) -> ShapingWitness:
+def reward_shaping_counterexample(gamma: float) -> ShapingWitness:
     """Witness that solving the discounted problem can fail to stabilize.
 
     For A = diag(0, 2) and B = (1, beta)', any gain with
     ``max(|k1|, |k2|) < 1/(2 beta)`` leaves the closed loop unstable, yet for
     small beta the gamma-discounted optimal gain satisfies exactly that bound.
-    Halves beta from 0.5 until the discounted-optimal gain has undamped
-    spectral radius above 1, under the identity cost.
+    Halves beta from 0.5, down to ``BETA_FLOOR``, until the discounted-optimal
+    gain has undamped spectral radius above 1, under the identity cost.
 
     Requires ``gamma < 1/4`` so that the uncontrolled damped system is
     already stable (sqrt(gamma) * 2 < 1).
@@ -112,7 +113,7 @@ def reward_shaping_counterexample(
     cost = CostSpec.identity(2, 1)
     A = np.diag([0.0, 2.0])
     beta = 0.5
-    while beta >= beta_floor:
+    while beta >= BETA_FLOOR:
         sys = LinearSystem(A, np.array([[1.0], [beta]]))
         try:
             _, K = solve_dare(sys, cost, gamma)
@@ -124,5 +125,5 @@ def reward_shaping_counterexample(
             return ShapingWitness(system=sys, beta=beta, gain=K, rho_undamped=rho)
         beta /= 2.0
     raise NoWitnessFoundError(
-        f"no destabilizing discounted-optimal gain found above beta={beta_floor:g}"
+        f"no destabilizing discounted-optimal gain found above beta={BETA_FLOOR:g}"
     )

@@ -23,6 +23,9 @@ from .dynamics import NonlinearSystem, lockstep, rollout_cost_batch
 from .model import CostSpec, check_gamma
 
 
+SMOOTHING_RADIUS = 1e-2  # perturbation size of the two-point zeroth-order estimator
+
+
 class DivergedAllError(RuntimeError):
     """Every rollout in a gradient query diverged; no estimate is available."""
 
@@ -31,16 +34,15 @@ class DivergedAllError(RuntimeError):
 class OracleConfig:
     """Sampling configuration for cost/gradient queries.
 
-    ``smoothing_radius`` is the perturbation size of the two-point
-    zeroth-order estimator.  The cap of an evaluation is not configuration:
-    it is an argument of ``eps_eval``, the one query it bounds.
+    ``radius`` must be positive and finite.  The zeroth-order perturbation
+    size is the constant ``SMOOTHING_RADIUS``, and the cap of an evaluation is
+    an argument of ``eps_eval``, the one query it bounds.
     """
 
     n_rollouts: int = 100
     horizon: int = 200
     radius: float = 1.0
     seed: int = 0
-    smoothing_radius: float = 1e-2
     estimator: str = "sensitivity"  # "sensitivity" | "zeroth"
 
     def __post_init__(self):
@@ -48,8 +50,8 @@ class OracleConfig:
             raise ValueError("n_rollouts must be at least 1")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-        if self.radius <= 0 or self.smoothing_radius <= 0:
-            raise ValueError("radius and smoothing_radius must be positive")
+        if not 0.0 < self.radius < np.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
         if self.estimator not in ("sensitivity", "zeroth"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
 
@@ -219,7 +221,7 @@ def eps_grad_zeroth_order(
     """Two-point zeroth-order gradient from single-rollout cost differences.
 
     Each of the ``cfg.n_rollouts`` directions perturbs K by
-    ``cfg.smoothing_radius`` along a random unit direction and differences two
+    ``SMOOTHING_RADIUS`` along a random unit direction and differences two
     rollout costs started from the same sphere point.  Direction i and its
     start are row i of the query's seeded stream, ``K.size + d_x`` normals in
     that order, and all ``2 N`` rollouts are stepped as one batch, uncapped.
@@ -227,7 +229,7 @@ def eps_grad_zeroth_order(
     """
     K = np.asarray(K, dtype=float)
     d_k = K.size
-    r_s = cfg.smoothing_radius
+    r_s = SMOOTHING_RADIUS
     n = cfg.n_rollouts
     scale = sys.d_x / cfg.radius**2
 

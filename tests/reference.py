@@ -296,7 +296,7 @@ def random_search_gamma_loop(
     gamma_t: float,
     bracket: SearchBracket,
     rng: np.random.Generator,
-    max_iters: int = 500,
+    max_iters: int,
 ) -> float:
     """``anneal.random_search_gamma`` as its own loop: the gamma = 1 branch,
     then up to ``max_iters`` uniform samples tested against the exact window."""

@@ -279,11 +279,11 @@ def test_fixed_steps_rejects_infinite_start():
 
 def test_search_bracket_validation():
     with pytest.raises(ValueError):
-        SearchBracket(f1_bar=5.0, f2_bar=4.0, eps=0.1)
+        SearchBracket(f1_bar=5.0, f2_bar=4.0, eps=0.1, budget=60)
     with pytest.raises(ValueError):
-        SearchBracket(f1_bar=0.0, f2_bar=4.0, eps=0.1)
+        SearchBracket(f1_bar=0.0, f2_bar=4.0, eps=0.1, budget=60)
     with pytest.raises(ValueError):
-        SearchBracket(f1_bar=1.0, f2_bar=4.0, eps=0.0)
+        SearchBracket(f1_bar=1.0, f2_bar=4.0, eps=0.0, budget=60)
     with pytest.raises(ValueError):
         SearchBracket(f1_bar=1.0, f2_bar=4.0, eps=0.1, budget=1)
 
@@ -337,7 +337,7 @@ def test_binary_search_budget_error():
 
 
 def test_binary_search_rejects_bad_gamma():
-    bracket = SearchBracket(f1_bar=1.0, f2_bar=2.0, eps=0.1)
+    bracket = SearchBracket(f1_bar=1.0, f2_bar=2.0, eps=0.1, budget=60)
     with pytest.raises(ValueError):
         binary_search_gamma(monotone_cost, 0.0, bracket)
     with pytest.raises(ValueError):
@@ -347,7 +347,9 @@ def test_binary_search_rejects_bad_gamma():
 def test_random_search_accepts_inside_window():
     gamma_t = 0.4
     j_hat = monotone_cost(gamma_t)
-    bracket = SearchBracket(f1_bar=2.75 * j_hat, f2_bar=7.25 * j_hat, eps=0.05)
+    bracket = SearchBracket(
+        f1_bar=2.75 * j_hat, f2_bar=7.25 * j_hat, eps=0.05, budget=501
+    )
     found = random_search_gamma(
         monotone_cost, gamma_t, bracket, np.random.default_rng(3)
     )
@@ -360,7 +362,7 @@ def test_random_search_accepts_inside_window():
 
 
 def test_random_search_termination_branch_returns_one():
-    bracket = SearchBracket(f1_bar=10.0, f2_bar=30.0, eps=0.1)
+    bracket = SearchBracket(f1_bar=10.0, f2_bar=30.0, eps=0.1, budget=501)
     found = random_search_gamma(
         monotone_cost, 0.4, bracket, np.random.default_rng(0)
     )
@@ -368,15 +370,16 @@ def test_random_search_termination_branch_returns_one():
 
 
 def test_random_search_budget_error():
-    bracket = SearchBracket(f1_bar=5.0, f2_bar=20.0, eps=0.1)
+    bracket = SearchBracket(f1_bar=5.0, f2_bar=20.0, eps=0.1, budget=41)
+    queries = []
 
     def evaluator(g):
+        queries.append(g)
         return 100.0 if g >= 0.5 else 1.0
 
-    with pytest.raises(BudgetExceededError):
-        random_search_gamma(
-            evaluator, 0.1, bracket, np.random.default_rng(0), max_iters=40
-        )
+    with pytest.raises(BudgetExceededError, match="41 queries"):
+        random_search_gamma(evaluator, 0.1, bracket, np.random.default_rng(0))
+    assert len(queries) == 41
 
 
 def test_binary_search_never_accepts_nan():
@@ -436,11 +439,8 @@ def run_search(search, evaluator, *args):
     j=st.floats(0.5, 50.0),
     eps=st.sampled_from([1e-3, 0.05, 0.2, 5.0]),
     budget=st.integers(2, 40),
-    max_iters=st.integers(0, 40),
 )
-def test_searches_equal_their_separate_loops(
-    kind, seed, gamma_t, j, eps, budget, max_iters
-):
+def test_searches_equal_their_separate_loops(kind, seed, gamma_t, j, eps, budget):
     # the shared loop queries the same discounts and returns the same value
     # (or raises the same budget error) as the two searches written apart
     bracket = SearchBracket(
@@ -451,8 +451,8 @@ def test_searches_equal_their_separate_loops(
         binary_search_gamma_loop, *args
     )
     rngs = [np.random.default_rng(seed) for _ in range(2)]
-    assert run_search(random_search_gamma, *args, rngs[0], max_iters) == run_search(
-        random_search_gamma_loop, *args, rngs[1], max_iters
+    assert run_search(random_search_gamma, *args, rngs[0]) == run_search(
+        random_search_gamma_loop, *args, rngs[1], budget - 1
     )
     # and leaves the search rng in the same state
     assert rngs[0].random() == rngs[1].random()
@@ -637,10 +637,19 @@ def test_anneal_zero_step_budget_accepts_a_start_within_the_gap():
     assert np.array_equal(gain, np.zeros((1, 2)))
 
 
-def test_anneal_random_search_also_works_on_linear():
-    # without the declaration the system is searched as a simulator would be
+def test_anneal_random_search_also_works_on_linear(monkeypatch):
+    # without the declaration the system is searched as a simulator would be,
+    # by random search with its fixed budget
+    budgets = []
+
+    def recording_search(evaluator, gamma_t, bracket, rng):
+        budgets.append(bracket.budget)
+        return random_search_gamma(evaluator, gamma_t, bracket, rng)
+
+    monkeypatch.setattr(pgstab.anneal, "random_search_gamma", recording_search)
     nls = replace(linear_as_nonlinear(SYS), linear=None)
     gain, state = discount_anneal(nls)
+    assert budgets and set(budgets) == {pgstab.anneal.RANDOM_SEARCH_QUERIES} == {501}
     assert state.done
     assert spectral_radius(SYS.closed_loop(gain)) < 1.0
     gammas = state.gammas
@@ -912,9 +921,10 @@ def test_anneal_sampled_manifest_is_strict_json(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text(), parse_constant=refuse)
     # pinned: it moved from 79968d05fbac4e92 when the evaluation cap left
     # OracleConfig, from 0c0511624e6d615c when c1, c2 and learning_rate became
-    # constants, and from eb92e8f1b2c846d1 when the sampled hash left out
-    # exact_max_steps, so sampled manifests written before any are refused
-    assert manifest["config_hash"] == config_hash(SAMPLED_50x100) == "ddb290ddce29ceb9"
+    # constants, from eb92e8f1b2c846d1 when the sampled hash left out
+    # exact_max_steps, and from ddb290ddce29ceb9 when smoothing_radius became a
+    # constant, so sampled manifests written before any are refused
+    assert manifest["config_hash"] == config_hash(SAMPLED_50x100) == "df18dd481098d545"
 
 
 def test_anneal_resume_refuses_sampled_manifest_with_old_hash(tmp_path):

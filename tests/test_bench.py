@@ -6,10 +6,10 @@ import json
 import numpy as np
 import pytest
 
+from pgstab import bench, cli
 from pgstab.bench import (
     CartpoleBenchConfig,
     LinearSuiteConfig,
-    RoaConfig,
     estimate_roa,
     run_counterexample,
     run_linear_suite,
@@ -22,28 +22,28 @@ from pgstab.files import write_csv
 from pgstab.matops import solve_dare, spectral_radius
 from pgstab.model import CostSpec, LinearSystem
 
-SMALL_ROA = RoaConfig(directions=16, horizon=300, tol=1e-2, seed=0)
-
 
 def test_roa_globally_stable_loop_reports_ceiling():
     sys = linear_as_nonlinear(LinearSystem(0.5 * np.eye(2), np.array([[1.0], [0.0]])))
-    report = estimate_roa(sys, np.zeros((1, 2)), SMALL_ROA)
-    assert report.rho_roa == SMALL_ROA.ceiling
-    assert np.all(report.radii == SMALL_ROA.ceiling)
+    report = estimate_roa(sys, np.zeros((1, 2)))
+    assert report.rho_roa == bench.ROA_CEILING
+    assert report.radii.shape == (bench.ROA_DIRECTIONS,)
+    assert np.all(report.radii == bench.ROA_CEILING)
 
 
 def test_roa_uncontrolled_cartpole_is_empty():
-    report = estimate_roa(cartpole(), np.zeros((1, 4)), SMALL_ROA)
-    assert report.rho_roa <= SMALL_ROA.tol
+    report = estimate_roa(cartpole(), np.zeros((1, 4)))
+    assert report.rho_roa <= bench.ROA_TOL
 
 
 def test_roa_is_deterministic_per_seed():
     sys = cartpole()
     gain = np.array([[1.0, -9.0, 3.7, -7.9]])
-    a = estimate_roa(sys, gain, SMALL_ROA)
-    b = estimate_roa(sys, gain, SMALL_ROA)
+    a = estimate_roa(sys, gain)
+    b = estimate_roa(sys, gain, seed=0)
     assert np.array_equal(a.radii, b.radii)
-    c = estimate_roa(sys, gain, RoaConfig(directions=16, horizon=300, tol=1e-2, seed=1))
+    assert (a.seed, a.to_dict()["seed"]) == (0, 0)
+    c = estimate_roa(sys, gain, seed=1)
     assert not np.array_equal(a.directions, c.directions)
 
 
@@ -170,7 +170,6 @@ def test_cli_anneal_cartpole_writes_its_reports(tmp_path, capsys):
     # one small trial: the table, its trace, the baselines and the meta file
     config = {
         "trials": 1, "n_rollouts": 200, "horizon": 200, "pg_steps": 15,
-        "roa": {"directions": 8, "horizon": 300, "tol": 1e-2},
     }
     cfg_path = tmp_path / "cartpole.json"
     cfg_path.write_text(json.dumps(config))
@@ -199,7 +198,7 @@ def test_cli_roa_on_declared_linear_system(tmp_path, capsys):
     config = {
         "system": {"kind": "linear", "A": [[0.5, 0.0], [0.0, 0.5]], "B": [[1.0], [0.0]]},
         "gain": [[0.0, 0.0]],
-        "roa": {"directions": 8, "horizon": 100, "tol": 0.01},
+        "seed": 3,
     }
     cfg_path = tmp_path / "roa.json.in"
     cfg_path.write_text(json.dumps(config))
@@ -208,8 +207,30 @@ def test_cli_roa_on_declared_linear_system(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["rho_roa"] == 3.0
     report = json.loads((tmp_path / "out" / "roa.json").read_text())
-    assert report["rho_roa"] == 3.0
-    assert len(report["radii"]) == 8
+    assert report == {"rho_roa": 3.0, "radii": [3.0] * 64, "seed": 3}
+
+
+@pytest.mark.parametrize("flags, seed", [([], 5), (["--seed", "2"], 2)])
+def test_cli_roa_and_baseline_read_the_config_seed(
+    tmp_path, capsys, monkeypatch, flags, seed
+):
+    # the top-level seed key seeds the ROA directions, and --seed overrides it
+    cfg_path = tmp_path / "cfg.json"
+    linear = {"kind": "linear", "A": [[0.5]], "B": [[1.0]]}
+    cfg_path.write_text(json.dumps({"system": linear, "gain": [[0.0]], "seed": 5}))
+    rc = main(["roa", "--config", str(cfg_path), "--out", str(tmp_path), *flags])
+    assert rc == 0
+    assert json.loads((tmp_path / "roa.json").read_text())["seed"] == seed
+    seen = []
+
+    def baseline(params, seed, out_dir):
+        seen.append(seed)
+        return {}
+
+    monkeypatch.setattr(cli, "run_lqr_baseline", baseline)
+    cfg_path.write_text(json.dumps({"seed": 5}))
+    assert main(["baseline-lqr", "--config", str(cfg_path), *flags]) == 0
+    assert seen == [seed]
 
 
 def test_cli_roa_without_gain_is_usage_error(tmp_path, capsys):
@@ -248,10 +269,9 @@ def test_cli_roa_refuses_malformed_system_or_gain(tmp_path, capsys, config, name
     [
         ("roa", {"system": [1, 2], "gain": [[0.0] * 4]}, "'system'"),
         ("roa", {"system": {"params": [1]}, "gain": [[0.0] * 4]}, "system.'params'"),
-        ("roa", {"roa": [1], "gain": [[0.0] * 4]}, "'roa'"),
-        ("baseline-lqr", {"roa": 5}, "'roa'"),
+        ("baseline-lqr", {"params": 5}, "'params'"),
     ],
-    ids=["roa-system-list", "cartpole-params-list", "roa-list", "baseline-roa-number"],
+    ids=["roa-system-list", "cartpole-params-list", "baseline-params-number"],
 )
 def test_cli_refuses_config_value_that_is_not_an_object(
     tmp_path, capsys, command, config, named
@@ -304,18 +324,20 @@ def test_suite_configs_refuse_oracle_settings_when_built(field):
 
 
 ROA_GAIN = {"gain": [[0.0, 0.0, 0.0, 0.0]]}
+NAN, INF = float("nan"), float("inf")  # json writes and reads them as NaN, Infinity
 
 
 @pytest.mark.parametrize(
     "command, config, field",
     [
-        ("roa", {**ROA_GAIN, "roa": {"tol": 0.0}}, "tol"),
-        ("roa", {**ROA_GAIN, "roa": {"directions": 0}}, "directions"),
-        ("roa", {**ROA_GAIN, "roa": {"horizon": -5}}, "horizon"),
-        ("roa", {**ROA_GAIN, "roa": {"delta_conv": 2.0}}, "delta_conv"),
-        ("roa", {**ROA_GAIN, "roa": {"ceiling": -1.0}}, "ceiling"),
-        ("baseline-lqr", {"roa": {"tol": 0.0}}, "tol"),
-        ("anneal-cartpole", {"roa": {"horizon": 0}}, "horizon"),
+        ("roa", {**ROA_GAIN, "system": {"params": {"m_p": NAN}}}, "m_p"),
+        ("roa", {**ROA_GAIN, "system": {"params": {"ts": INF}}}, "ts"),
+        ("baseline-lqr", {"params": {"m_c": INF}}, "m_c"),
+        ("anneal-cartpole", {"params": {"m_p": NAN}}, "m_p"),
+        # every radius is checked before the first trial runs
+        ("anneal-cartpole", {"radii": [0.1, -0.1]}, "radius"),
+        ("anneal-cartpole", {"radii": [0.1, INF]}, "radius"),
+        ("anneal-linear", {"dims": [2.5]}, "dims"),
         ("anneal-cartpole", {"radii": []}, "radii"),
         ("anneal-cartpole", {"trials": 0}, "trials"),
         ("anneal-linear", {"instances": 0}, "instances"),
@@ -376,7 +398,7 @@ def test_cli_parses_flags_where_they_are_read():
         ("anneal-cartpole", {"trials": 1, "pg_step": 5}, "pg_step"),
         ("roa", {"gain": [[0.0, 0.0, 0.0, 0.0]], "directons": 8}, "directons"),
         ("counterexample", {"gama": 0.5}, "gama"),
-        ("baseline-lqr", {"roa": {"horizn": 10}}, "horizn"),
+        ("baseline-lqr", {"params": {"horizn": 10}}, "horizn"),
         # a system kind refuses the keys it does not read
         (
             "roa",
@@ -392,6 +414,9 @@ def test_cli_parses_flags_where_they_are_read():
             },
             "params",
         ),
+        # the ROA estimate has no settings but its seed, a top-level key
+        ("roa", {**ROA_GAIN, "roa": [1]}, "roa"),
+        ("baseline-lqr", {"roa": 5}, "roa"),
     ],
 )
 def test_cli_refuses_unknown_config_keys(tmp_path, capsys, command, config, key):

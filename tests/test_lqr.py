@@ -263,7 +263,8 @@ def test_shaping_counterexample_rejects_large_gamma():
         reward_shaping_counterexample(0.0)
 
 
-def test_shaping_counterexample_beta_floor():
+def test_shaping_counterexample_beta_floor(monkeypatch):
     # a floor above the starting beta = 0.5 leaves nothing to try
-    with pytest.raises(NoWitnessFoundError):
-        reward_shaping_counterexample(0.225, beta_floor=0.6)
+    monkeypatch.setattr(pgstab.lqr, "BETA_FLOOR", 0.6)
+    with pytest.raises(NoWitnessFoundError, match="beta=0.6"):
+        reward_shaping_counterexample(0.225)

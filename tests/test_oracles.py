@@ -83,8 +83,7 @@ def test_zeroth_order_draws_equal_per_rollout_loop(monkeypatch, k_shape):
     )
     k = np.linspace(-0.2, 0.1, d_u * d_x).reshape(k_shape)
     cfg = OracleConfig(
-        n_rollouts=33, horizon=3, radius=0.7, seed=12, smoothing_radius=1e-2,
-        estimator="zeroth",
+        n_rollouts=33, horizon=3, radius=0.7, seed=12, estimator="zeroth",
     )
     seen = {}
 
@@ -95,7 +94,7 @@ def test_zeroth_order_draws_equal_per_rollout_loop(monkeypatch, k_shape):
     monkeypatch.setattr(oracles, "rollout_cost_batch", recording_batch)
     eps_grad_zeroth_order(sys, k, 0.9, cfg, CostSpec.identity(d_x, d_u), 6)
     dirs, starts = zeroth_order_draws_loop(cfg, k_shape, d_x, 6)
-    r_s = cfg.smoothing_radius
+    r_s = oracles.SMOOTHING_RADIUS
     assert np.array_equal(
         seen["gains"], np.concatenate([k + r_s * dirs, k - r_s * dirs])
     )
@@ -431,8 +430,7 @@ def test_two_point_gradient_drops_nan_pairs():
 
 def test_zeroth_order_gradient_matches_analytic():
     cfg = OracleConfig(
-        n_rollouts=1200, horizon=120, radius=1.0, seed=4, smoothing_radius=1e-3,
-        estimator="zeroth",
+        n_rollouts=1200, horizon=120, radius=1.0, seed=4, estimator="zeroth",
     )
     gamma = 0.8
     res = eps_grad_zeroth_order(linear_as_nonlinear(SYS), K_STAB, gamma, cfg, COST2)
@@ -452,8 +450,7 @@ def test_zeroth_order_matches_generic_two_point():
     k = np.array([[0.8, -8.0, 3.2, -7.0]])
     gamma = 0.9
     cfg = OracleConfig(
-        n_rollouts=40, horizon=80, radius=0.1, seed=23,
-        smoothing_radius=1e-3, estimator="zeroth",
+        n_rollouts=40, horizon=80, radius=0.1, seed=23, estimator="zeroth",
     )
     scale = sys.d_x / cfg.radius**2
 
@@ -465,7 +462,7 @@ def test_zeroth_order_matches_generic_two_point():
         return scale * float(b.costs[0])
 
     generic = two_point_gradient(
-        evaluate, k, cfg.smoothing_radius, cfg.n_rollouts, cfg.seed, 5
+        evaluate, k, oracles.SMOOTHING_RADIUS, cfg.n_rollouts, cfg.seed, 5
     )
     batched = eps_grad_zeroth_order(sys, k, gamma, cfg, cost, query_index=5)
     assert batched.rollouts_used == generic.used
@@ -494,8 +491,7 @@ def test_estimators_agree_on_cartpole():
     zero = eps_grad_zeroth_order(
         sys, k, gamma,
         OracleConfig(
-            n_rollouts=1000, horizon=100, radius=0.1, seed=19,
-            smoothing_radius=1e-3, estimator="zeroth",
+            n_rollouts=1000, horizon=100, radius=0.1, seed=19, estimator="zeroth",
         ),
         cost,
     )
@@ -508,8 +504,10 @@ def test_estimators_agree_on_cartpole():
 def test_oracle_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(n_rollouts=0)
-    with pytest.raises(ValueError):
-        OracleConfig(radius=0.0)
+    # a start radius that is not positive and finite samples no sphere
+    for radius in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="radius"):
+            OracleConfig(radius=radius)
     with pytest.raises(ValueError):
         OracleConfig(estimator="spsa")
     # a query of no steps has no cost to estimate
