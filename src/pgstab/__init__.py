@@ -26,8 +26,6 @@ from .dynamics import (
     linear_as_nonlinear,
 )
 from .lqr import (
-    NoWitnessFoundError,
-    damp,
     lqr_cost,
     lqr_grad,
     reward_shaping_counterexample,
@@ -64,14 +62,12 @@ __all__ = [
     "LinearSuiteConfig",
     "LinearSystem",
     "NonlinearSystem",
-    "NoWitnessFoundError",
     "NotStabilizableError",
     "OracleConfig",
     "QueryResult",
     "RoaReport",
     "UnstableError",
     "cartpole",
-    "damp",
     "discount_anneal",
     "eps_eval",
     "eps_grad_sensitivity",

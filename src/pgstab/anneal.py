@@ -24,7 +24,7 @@ from . import files, oracles
 from .dynamics import NonlinearSystem, jacobian_linearization
 from .lqr import lqr_cost, value_matrix
 from .matops import UnstableError, solve_dare, spectral_radius
-from .model import CostSpec, LinearSystem, check_gamma
+from .model import CostSpec, LinearSystem, check_gamma, check_seed
 
 
 class AnnealError(RuntimeError):
@@ -221,6 +221,7 @@ class AnnealConfig:
             raise ValueError("pg_steps and exact_max_steps must be nonnegative")
         if self.oracle_mode == "sampled" and (self.oracle is None or self.pg_steps < 1):
             raise ValueError("sampled mode needs an OracleConfig and pg_steps >= 1")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -239,12 +240,6 @@ class IterationRecord:
     @property
     def search_queries(self) -> int:
         return len(self.search_transcript)
-
-    @property
-    def cost_next_gamma(self) -> float | None:
-        """The search's last query: the cost at the accepted discount, or at the
-        unrounded one where the search rounded a discount above 1 - 1e-12 up to 1."""
-        return self.search_transcript[-1]["value"] if self.search_transcript else None
 
 
 def _from_manifest(cls, d: dict):
@@ -484,7 +479,8 @@ def discount_anneal(
 
     A failed inner solve or search raises an ``AnnealError``
     (``InnerDivergedError`` or ``BudgetExceededError``).  Every exception raised
-    in an outer iteration carries that iteration as ``anneal_iteration``.
+    in an outer iteration carries that iteration as ``anneal_iteration``, and
+    a failed closing check carries the last one.
 
     ``resume_from`` continues the run a manifest holds, under the same
     ``config_hash``, which covers only the fields the oracle mode reads.  A
@@ -595,9 +591,9 @@ def discount_anneal(
     rho = spectral_radius(lin.closed_loop(K))
     state.final_spectral_radius = rho
     if rho >= 1.0:
-        raise UnstableError(
-            f"annealing finished with an unstable closed loop (rho={rho:.6g})"
-        )
+        err = UnstableError(f"annealing finished with an unstable closed loop (rho={rho:.6g})")
+        err.anneal_iteration = state.outer_iterations - 1
+        raise err
     if cfg.out_dir is not None:
         _write_manifest(cfg, state)
     return K, state

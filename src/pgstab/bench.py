@@ -24,7 +24,7 @@ from .dynamics import (
 )
 from .lqr import lqr_cost, reward_shaping_counterexample
 from .matops import NotStabilizableError, solve_dare, spectral_radius
-from .model import CostSpec, LinearSystem, as_gain
+from .model import CostSpec, LinearSystem, as_gain, check_seed
 
 # Reference value for an H-infinity controller synthesized with external
 # tooling; reported for comparison only, never computed here.
@@ -81,8 +81,10 @@ def estimate_roa(sys: NonlinearSystem, K: np.ndarray, seed: int = 0) -> RoaRepor
     ``||x|| <= ROA_DELTA_CONV * radius`` within ``ROA_HORIZON`` steps), and
     reports the minimum over directions.  Directions that still converge at
     ``ROA_CEILING`` report the ceiling.  A gain that is not finite or not
-    ``(d_u, d_x)`` is refused with a ``ValueError``.
+    ``(d_u, d_x)``, or a seed that is not a non-negative integer, is refused
+    with a ``ValueError``.
     """
+    check_seed(seed)
     K = as_gain(K, sys.d_u, sys.d_x)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xD18,)))
     dirs = rng.standard_normal((ROA_DIRECTIONS, sys.d_x))
@@ -157,6 +159,7 @@ class LinearSuiteConfig:
             raise ValueError("LinearSuiteConfig needs instances >= 1 and integer dims >= 1")
         if not self.modes or not set(self.modes) <= {"exact", "sampled"}:
             raise ValueError(f"modes must be 'exact' or 'sampled', got {self.modes}")
+        check_seed(self.seed)
         _oracle(self, 1.0, 0)  # OracleConfig's checks run here, before any instance
 
 
@@ -261,6 +264,7 @@ class CartpoleBenchConfig:
         self.radii = tuple(self.radii)
         if not self.radii or self.trials < 1:
             raise ValueError("CartpoleBenchConfig needs radii and trials >= 1")
+        check_seed(self.seed)
         for r in self.radii:  # OracleConfig's checks run here, before any trial
             _oracle(self, r, 0)
 

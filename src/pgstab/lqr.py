@@ -1,4 +1,5 @@
-"""Discounted LQR quantities for a fixed state-feedback gain.
+"""Discounted LQR quantities for a fixed state-feedback gain, and the fixed
+witness that a discounted-optimal gain need not stabilize.
 
 With initial states drawn isotropically with identity covariance, the
 gamma-discounted cost of a gain K is
@@ -15,15 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .matops import NotStabilizableError, dlyap, solve_dare, spectral_radius
+from .matops import dlyap, solve_dare, spectral_radius
 from .model import CostSpec, LinearSystem, check_gamma
-
-
-BETA_FLOOR = 1e-12
-
-
-class NoWitnessFoundError(RuntimeError):
-    """The counterexample search exhausted its grid without a witness."""
 
 
 def _closed_loop(
@@ -33,13 +27,6 @@ def _closed_loop(
     check_gamma(gamma)
     K = np.asarray(K, dtype=float)
     return K, sys.closed_loop(K)
-
-
-def damp(sys: LinearSystem, gamma: float) -> LinearSystem:
-    """The damped system (sqrt(gamma) A, sqrt(gamma) B)."""
-    check_gamma(gamma)
-    sq = np.sqrt(gamma)
-    return LinearSystem(sq * sys.A, sq * sys.B)
 
 
 def value_matrix(
@@ -88,7 +75,7 @@ def lqr_grad(
 
 class ShapingWitness(NamedTuple):
     """A discount for which the discounted-optimal gain fails to stabilize:
-    ``system`` is A = diag(0, 2), B = (1, beta)'."""
+    ``system`` is A = diag(0, 2), B = (1, beta)' with beta = 1/2."""
 
     system: LinearSystem
     beta: float
@@ -99,31 +86,18 @@ class ShapingWitness(NamedTuple):
 def reward_shaping_counterexample(gamma: float) -> ShapingWitness:
     """Witness that solving the discounted problem can fail to stabilize.
 
-    For A = diag(0, 2) and B = (1, beta)', any gain with
-    ``max(|k1|, |k2|) < 1/(2 beta)`` leaves the closed loop unstable, yet for
-    small beta the gamma-discounted optimal gain satisfies exactly that bound.
-    Halves beta from 0.5, down to ``BETA_FLOOR``, until the discounted-optimal
-    gain has undamped spectral radius above 1, under the identity cost.
-
-    Requires ``gamma < 1/4`` so that the uncontrolled damped system is
-    already stable (sqrt(gamma) * 2 < 1).
+    For A = diag(0, 2), B = (1, beta)' and the identity cost, the discounted
+    value matrix is diag(1, p) and the optimal gain (0, k), with
+    k = -2 gamma p beta / (1 + gamma + gamma p beta^2); the undamped loop's
+    eigenvalues are 0 and 2 (1 + gamma) / (1 + gamma + gamma p beta^2).  p
+    rises with gamma to 5 at gamma = 1/4 (the root of p^2 - p - 20 = 0), so
+    at beta = 1/2 that eigenvalue lies in (1.6, 2) and |k| < 0.8 < 1/(2 beta)
+    for every admitted gamma: beta = 1/2 needs no search.  ``gamma < 1/4``
+    already damps the open loop (2 sqrt(gamma) < 1), so the solve cannot fail.
     """
     if not (0.0 < gamma < 0.25):
         raise ValueError(f"gamma must lie in (0, 1/4) for this family, got {gamma}")
-    cost = CostSpec.identity(2, 1)
-    A = np.diag([0.0, 2.0])
-    beta = 0.5
-    while beta >= BETA_FLOOR:
-        sys = LinearSystem(A, np.array([[1.0], [beta]]))
-        try:
-            _, K = solve_dare(sys, cost, gamma)
-        except NotStabilizableError:
-            beta /= 2.0
-            continue
-        rho = spectral_radius(sys.closed_loop(K))
-        if rho > 1.0:
-            return ShapingWitness(system=sys, beta=beta, gain=K, rho_undamped=rho)
-        beta /= 2.0
-    raise NoWitnessFoundError(
-        f"no destabilizing discounted-optimal gain found above beta={BETA_FLOOR:g}"
-    )
+    sys = LinearSystem(np.diag([0.0, 2.0]), np.array([[1.0], [0.5]]))
+    _, K = solve_dare(sys, CostSpec.identity(2, 1), gamma)
+    rho = spectral_radius(sys.closed_loop(K))
+    return ShapingWitness(system=sys, beta=0.5, gain=K, rho_undamped=rho)

@@ -37,6 +37,12 @@ def check_gamma(gamma: float) -> None:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
 
 
+def check_seed(seed) -> None:
+    """Refuse a seed that is not a non-negative integer (a ``bool`` is refused)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class LinearSystem:
     """Discrete-time linear dynamics ``x' = A x + B u``."""

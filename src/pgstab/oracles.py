@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import NonlinearSystem, lockstep, rollout_cost_batch
-from .model import CostSpec, check_gamma
+from .model import CostSpec, check_gamma, check_seed
 
 
 SMOOTHING_RADIUS = 1e-2  # perturbation size of the two-point zeroth-order estimator
@@ -34,9 +34,10 @@ class DivergedAllError(RuntimeError):
 class OracleConfig:
     """Sampling configuration for cost/gradient queries.
 
-    ``radius`` must be positive and finite.  The zeroth-order perturbation
-    size is the constant ``SMOOTHING_RADIUS``, and the cap of an evaluation is
-    an argument of ``eps_eval``, the one query it bounds.
+    ``radius`` must be positive and finite, ``seed`` a non-negative integer.
+    The zeroth-order perturbation size is the constant ``SMOOTHING_RADIUS``,
+    and the cap of an evaluation is an argument of ``eps_eval``, the one query
+    it bounds.
     """
 
     n_rollouts: int = 100
@@ -54,6 +55,7 @@ class OracleConfig:
             raise ValueError(f"radius must be positive and finite, got {self.radius}")
         if self.estimator not in ("sensitivity", "zeroth"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
+        check_seed(self.seed)
 
 
 @dataclass

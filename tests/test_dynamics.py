@@ -280,6 +280,19 @@ def test_rollout_rejects_bad_gamma():
         damped_rollout(sys, np.zeros((1, 4)), 1.2, np.ones(4), 5, CostSpec.identity(4, 1))
 
 
+def test_batch_rollout_refuses_misshapen_starts_and_gains():
+    sys, cost = cartpole(), CostSpec.identity(4, 1)
+    k = np.zeros((1, 4))
+    # starts must be rows of d_x states
+    for x0s in (np.ones(4), np.ones((3, 2)), np.ones((2, 3, 4))):
+        with pytest.raises(ValueError, match=r"x0s must have shape \(N, 4\)"):
+            rollout_cost_batch(sys, k, 0.9, x0s, 5, cost)
+    # one gain per rollout must match the number of starts and (d_u, d_x)
+    for gains in (np.zeros((2, 1, 4)), np.zeros((3, 4, 1))):
+        with pytest.raises(ValueError, match=r"per-rollout gains must have shape \(3, 1, 4\)"):
+            rollout_cost_batch(sys, gains, 0.9, np.ones((3, 4)), 5, cost)
+
+
 def test_batch_rollout_matches_single():
     sys = cartpole()
     cost = CostSpec.identity(4, 1)

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import lqr_grad_two_solves
+from reference import damp, lqr_grad_two_solves
 
 import pgstab.lqr
 from pgstab.lqr import (
-    NoWitnessFoundError,
-    damp,
     lqr_cost,
     lqr_grad,
     reward_shaping_counterexample,
@@ -38,6 +36,23 @@ def test_damp_scales_both_matrices():
     damped = damp(sys, 0.25)
     assert np.allclose(damped.A, 0.5 * np.eye(2))
     assert np.allclose(damped.B, 0.5 * np.ones((2, 1)))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: LinearSystem(np.ones((2, 3)), np.ones((2, 1))), "A must be square"),
+        (lambda: LinearSystem(np.eye(2), np.ones((3, 1))), "B must have 2 rows"),
+        (lambda: CostSpec(np.ones((2, 3)), np.eye(1)), "Q must be square"),
+        (lambda: CostSpec(np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]])), "R must be symmetric"),
+        (lambda: CostSpec(np.diag([1.0, -1.0]), np.eye(1)), "Q must be positive definite"),
+        (lambda: CostSpec(np.eye(2), np.zeros((1, 1))), "R must be positive definite"),
+    ],
+    ids=["A-not-square", "B-rows", "Q-not-square", "R-asymmetric", "Q-indefinite", "R-singular"],
+)
+def test_system_and_cost_refuse_malformed_matrices(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_value_matrix_scalar_example():
@@ -256,15 +271,34 @@ def test_shaping_counterexample_witness():
     assert np.allclose(w.gain, k_star, atol=1e-8)
 
 
+# the admitted discounts (0, 1/4): both ends within 1e-12, and 39 between
+SHAPING_GAMMAS = [1e-12] + [0.25 * i / 40 for i in range(1, 40)] + [0.25 - 1e-12]
+
+
+@pytest.mark.parametrize("gamma", SHAPING_GAMMAS)
+def test_shaping_counterexample_is_beta_one_half_for_every_gamma(gamma):
+    # the closed form behind the fixed beta = 1/2: the value matrix is
+    # diag(1, p) with p <= 5, the gain (0, k) with
+    # k = -2 gamma p beta / (1 + gamma + gamma p beta^2), and the undamped
+    # loop's radius 2 (1 + gamma) / (1 + gamma + gamma p beta^2) is in [1.6, 2]
+    w = reward_shaping_counterexample(gamma)
+    assert w.beta == 0.5
+    assert np.array_equal(w.system.B, [[1.0], [0.5]])
+    P, _ = solve_dare(w.system, CostSpec.identity(2, 1), gamma)
+    p = P[1, 1]
+    assert np.allclose(P, np.diag([1.0, p]), rtol=0.0, atol=1e-12)
+    assert 1.0 <= p <= 5.0
+    denom = 1.0 + gamma + gamma * p * w.beta**2
+    assert w.gain[0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert w.gain[0, 1] == pytest.approx(-2.0 * gamma * p * w.beta / denom, rel=1e-9, abs=1e-15)
+    assert w.rho_undamped == pytest.approx(2.0 * (1.0 + gamma) / denom, rel=1e-12)
+    assert 1.6 <= w.rho_undamped <= 2.0
+    assert np.max(np.abs(w.gain)) <= 0.8 < 1.0 / (2.0 * w.beta)
+    assert spectral_radius(np.sqrt(gamma) * w.system.closed_loop(w.gain)) < 1.0
+
+
 def test_shaping_counterexample_rejects_large_gamma():
     with pytest.raises(ValueError):
         reward_shaping_counterexample(0.25)
     with pytest.raises(ValueError):
         reward_shaping_counterexample(0.0)
-
-
-def test_shaping_counterexample_beta_floor(monkeypatch):
-    # a floor above the starting beta = 0.5 leaves nothing to try
-    monkeypatch.setattr(pgstab.lqr, "BETA_FLOOR", 0.6)
-    with pytest.raises(NoWitnessFoundError, match="beta=0.6"):
-        reward_shaping_counterexample(0.225)

@@ -122,11 +122,11 @@ def test_zeroth_order_draws_are_prefix_stable(monkeypatch):
 
 
 def test_negative_seed_is_refused():
-    cfg = OracleConfig(n_rollouts=3, seed=-1)
-    with pytest.raises(ValueError):
-        initial_states(cfg, 2, 0)
-    with pytest.raises(ValueError):
-        eps_grad_zeroth_order(linear_as_nonlinear(SYS), K_STAB, 0.9, cfg, COST2)
+    # refused when the config is built, before any query draws from it, as is
+    # any other seed that is not a non-negative integer
+    for seed in (-1, 1.5, "a", True):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            OracleConfig(n_rollouts=3, seed=seed)
 
 
 def test_eps_eval_matches_analytic_cost():
@@ -395,6 +395,20 @@ def test_sensitivity_all_diverged_raises():
     cfg = OracleConfig(n_rollouts=10, horizon=100, seed=3)
     with pytest.raises(DivergedAllError):
         eps_grad_sensitivity(sys, np.zeros((1, 1)), 1.0, cfg, CostSpec.identity(1, 1))
+    # the two-point estimator drops every pair, each of whose gains 2 +- 0.01
+    # diverges, and has no difference left to average
+    with pytest.raises(DivergedAllError, match="all two-point direction pairs"):
+        eps_grad_zeroth_order(sys, np.zeros((1, 1)), 1.0, cfg, CostSpec.identity(1, 1))
+
+
+@pytest.mark.parametrize("estimator", [eps_grad_sensitivity, eps_grad_zeroth_order])
+def test_single_rollout_gradient_has_zero_stderr(estimator):
+    # one sample has no spread to estimate: its standard error is 0, not NaN
+    cfg = OracleConfig(n_rollouts=1, horizon=20, seed=5)
+    res = estimator(linear_as_nonlinear(SYS), K_STAB, 0.9, cfg, COST2)
+    assert res.rollouts_used == 1
+    assert np.all(np.isfinite(res.gradient))
+    assert np.array_equal(res.stderr, np.zeros_like(K_STAB))
 
 
 def test_two_point_gradient_exact_on_quadratic():
