@@ -426,7 +426,10 @@ class _SampledOracle:
                     best_k, best_j = K.copy(), value
             K = K - opt.update(grad)
         if best_k is None:
-            raise InnerDivergedError("no finite cost estimate observed")
+            raise InnerDivergedError(
+                f"every one of the {self.cfg.pg_steps} cost estimates was capped,"
+                f" not finite or above {GUARD_FACTOR:g}x the initial cost"
+            )
         j, capped = self.evaluate(best_k, gamma)
         return PgResult(best_k, self.cfg.pg_steps, costs, j, capped=capped)
 

@@ -272,10 +272,13 @@ class CartpoleBenchConfig:
 def run_cartpole(cfg: CartpoleBenchConfig) -> dict:
     """Anneal cart-pole from scratch at each start radius and measure the ROA.
 
-    Emits a summary table with [min, max] over trials per radius, per-trial
-    iteration traces that include the gap to the discounted Riccati gain on
-    the linearization, and a baselines table (``run_lqr_baseline`` on the
-    same parameters, plus an externally synthesized reference value).
+    Emits a summary table with [min, max] over trials per radius, ending with
+    ``rho_lin_max``, the largest spectral radius of a trial's closed loop on
+    the Jacobian linearization (the certificate ``discount_anneal`` checks),
+    per-trial iteration traces that include the gap to the discounted
+    Riccati gain on the linearization, and a baselines table
+    (``run_lqr_baseline`` on the same parameters, plus an externally
+    synthesized reference value).
     """
     sys = cartpole(cfg.params)
     cost = CostSpec.identity(sys.d_x, sys.d_u)
@@ -284,7 +287,7 @@ def run_cartpole(cfg: CartpoleBenchConfig) -> dict:
     table_rows = []
     traces = {}
     for i, radius in enumerate(cfg.radii):
-        roas, iters, final_costs = [], [], []
+        roas, iters, final_costs, rhos = [], [], [], []
         for j in range(cfg.trials):
             seed_ij = int(
                 np.random.SeedSequence(cfg.seed, spawn_key=(i, j)).generate_state(1)[0]
@@ -301,6 +304,7 @@ def run_cartpole(cfg: CartpoleBenchConfig) -> dict:
             roas.append(roa.rho_roa)
             iters.append(state.outer_iterations)
             final_costs.append(state.history[-1].cost_end)
+            rhos.append(state.final_spectral_radius)
             trace_rows = []
             for t, rec in enumerate(state.history):
                 _, k_lin = solve_dare(lin, cost, rec.gamma)
@@ -328,6 +332,7 @@ def run_cartpole(cfg: CartpoleBenchConfig) -> dict:
                 max(iters),
                 min(final_costs),
                 max(final_costs),
+                max(rhos),
             ]
         )
 
@@ -348,7 +353,7 @@ def run_cartpole(cfg: CartpoleBenchConfig) -> dict:
         files.write_csv(
             out / "cartpole_table.csv",
             ["r", "roa_min", "roa_max", "trials", "iters_max",
-             "final_cost_min", "final_cost_max"],
+             "final_cost_min", "final_cost_max", "rho_lin_max"],
             table_rows,
         )
         files.write_csv(out / "baselines.csv", ["label", "rho_roa", "source"], baselines)

@@ -10,8 +10,11 @@ rollout steps ``x_{t+1} = sqrt(gamma) G(x_t, K x_t)`` and accumulates
 discounted cost exactly.
 
 Every batched rollout in the package runs through ``lockstep``, the one
-engine that steps rows together, applies the blow-up bound and compacts the
-rows that end.
+engine that steps rows together, applies the blow-up bound, compacts the
+rows that end, and ends the whole batch once every live row has decayed to
+``DECAY_FRACTION`` of its start norm: on a stabilizing damped loop the rest of
+the horizon would add only round-off to the costs (see ``lockstep`` for the
+bound).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import numpy as np
 from .model import CostSpec, LinearSystem, check_gamma
 
 BLOWUP_FACTOR = 1e6  # ||x_t|| > BLOWUP_FACTOR * max(1, ||x0||) counts as divergence
+DECAY_FRACTION = 1e-6  # a batch ends once every live row has ||x_t|| <= this * ||x0||
 
 
 @dataclass(frozen=True)
@@ -176,7 +180,7 @@ def jacobian_linearization(sys: NonlinearSystem) -> LinearSystem:
 class Lockstep:
     """Per-row outcome of ``lockstep``; every array has one entry per row."""
 
-    steps: np.ndarray  # (N,) steps taken before the row ended
+    steps: np.ndarray  # (N,) steps taken before the row ended (or the batch did)
     diverged: np.ndarray  # (N,) bool, the state left the blow-up bound
     stopped: np.ndarray  # (N,) bool, flagged by ``advance`` and not diverged
     carry: tuple  # the carried arrays as each row ended, rows in input order
@@ -193,10 +197,25 @@ def lockstep(X, horizon: int, advance, carry: tuple = ()) -> Lockstep:
     (it is then ``diverged``, and not ``stopped`` even if flagged).  Ended
     rows are compacted out, so the common all-alive case runs without
     per-step fancy indexing.
+
+    The whole batch ends at the first step t where every row still live has
+    ``||x_t|| <= DECAY_FRACTION * ||x_0||``.  Those rows are neither
+    ``diverged`` nor ``stopped``, and their ``steps`` is t.  A start at
+    ``x_0 = 0`` ends at step 1; a NaN state never counts as decayed.  Cost of
+    the rule, with tau = ``DECAY_FRACTION``:
+
+    - on a stable damped linear loop, a row's omitted tail is
+      ``x_t' P_K x_t <= tau^2 ||P_K|| ||x_0||^2``, at most
+      ``tau^2 ||P_K|| / lambda_min(Q)`` of the row's cost;
+    - on an unstable loop, a row reaches the floor only from a start within
+      about tau * cond of the stable subspace;
+    - near the equilibrium the linearization governs.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
-    blow2 = (BLOWUP_FACTOR * np.maximum(1.0, np.linalg.norm(X, axis=1))) ** 2
+    norm0 = np.linalg.norm(X, axis=1)
+    blow2 = (BLOWUP_FACTOR * np.maximum(1.0, norm0)) ** 2
+    tiny2 = (DECAY_FRACTION * norm0) ** 2
     steps = np.zeros(n, dtype=int)
     diverged = np.zeros(n, dtype=bool)
     stopped = np.zeros(n, dtype=bool)
@@ -207,8 +226,9 @@ def lockstep(X, horizon: int, advance, carry: tuple = ()) -> Lockstep:
         while t < horizon and act.size:
             X, carry, flag = advance(X, *carry)
             t += 1
-            # squared-norm test: overflow to inf and NaN both fail `<=`
-            bad = ~(np.vecdot(X, X) <= blow2)
+            # squared-norm tests: overflow to inf and NaN both fail `<=`
+            n2 = np.vecdot(X, X)
+            bad = ~(n2 <= blow2)
             stop = bad if flag is None else bad | flag
             if stop.any():
                 ended = act[stop]
@@ -220,8 +240,10 @@ def lockstep(X, horizon: int, advance, carry: tuple = ()) -> Lockstep:
                 keep = ~stop
                 act = act[keep]
                 X = X[keep]
-                blow2 = blow2[keep]
+                n2, blow2, tiny2 = n2[keep], blow2[keep], tiny2[keep]
                 carry = tuple(c[keep] for c in carry)
+            if (n2 <= tiny2).all():
+                break
     steps[act] = t
     for out, c in zip(final, carry):
         out[act] = c
@@ -233,7 +255,7 @@ class BatchCosts:
     """Per-rollout outcome of a batched damped rollout."""
 
     costs: np.ndarray  # (N,) accumulated undiscounted stage costs
-    steps: np.ndarray  # (N,) stages accumulated before stopping
+    steps: np.ndarray  # (N,) stages accumulated before the row or batch ended
     diverged: np.ndarray  # (N,) bool
     capped: np.ndarray  # (N,) bool, rollout stopped at its cost cap
 
@@ -251,8 +273,10 @@ def rollout_cost_batch(
     """Accumulate undiscounted stage costs of damped closed-loop rollouts.
 
     Each row of ``x0s`` steps ``x' = sqrt(gamma) G(x, K x)`` for ``horizon``
-    steps, or until it diverges or its cost exceeds ``rollout_cap``.  ``K``
-    may also carry one gain per rollout (shape ``(N, d_u, d_x)``).
+    steps, or until it diverges or its cost exceeds ``rollout_cap``, or until
+    the batch ends because every live row has decayed (``lockstep``); a row
+    that ends by decay is neither ``diverged`` nor ``capped``.  ``K`` may also
+    carry one gain per rollout (shape ``(N, d_u, d_x)``).
     """
     check_gamma(gamma)
     K = np.asarray(K, dtype=float)

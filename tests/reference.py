@@ -2,7 +2,8 @@
 
 Each one is a plain, unbatched version of something the package computes in
 batched or closed form: the seeded draws of an oracle query made one rollout
-at a time, a single damped rollout stepped one state at a time, a
+at a time, a single damped rollout stepped one state at a time, the step at
+which a batch of such rollouts has decayed, a
 generic two-point gradient estimator driven by an arbitrary objective, the
 two discount searches as separate loops, the discounted Riccati equation
 solved by plain value iteration, the discrete Lyapunov equation summed by
@@ -21,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from pgstab.anneal import BudgetExceededError, SearchBracket
-from pgstab.dynamics import BLOWUP_FACTOR, NonlinearSystem, lockstep
+from pgstab.dynamics import BLOWUP_FACTOR, DECAY_FRACTION, NonlinearSystem, lockstep
 from pgstab.matops import (
     DARE_DIVERGENCE_BOUND,
     DARE_REL_TOL,
@@ -149,6 +150,22 @@ def damped_rollout(
         truncated=truncated,
         diverged=diverged,
     )
+
+
+def decay_end_step(rollouts: list[Rollout], horizon: int) -> int:
+    """The step at which ``lockstep`` ends a batch of these full-horizon
+    rollouts: the first t at which every row still live (one that has not
+    ended at or before t) has ``||x_t|| <= DECAY_FRACTION ||x_0||``, else
+    ``horizon``."""
+    for t in range(1, horizon + 1):
+        if all(
+            float((r.states[t] * r.states[t]).sum())
+            <= (DECAY_FRACTION * float(np.linalg.norm(r.states[0]))) ** 2
+            for r in rollouts
+            if r.horizon > t
+        ):
+            return t
+    return horizon
 
 
 @dataclass

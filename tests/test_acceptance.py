@@ -187,11 +187,12 @@ def test_criterion_6_cartpole_lqr_baseline_roa():
 def test_criterion_7_cartpole_annealing_desk_scale():
     t0 = time.perf_counter()
     result = run_cartpole(CartpoleBenchConfig())
-    (radius, roa_min, _, trials, iters_max, _, _) = result["table"][0]
+    (radius, roa_min, _, trials, iters_max, _, _, rho_lin_max) = result["table"][0]
     assert radius == 0.1
     assert trials == 3
     assert iters_max <= 9
     assert roa_min >= 0.5
+    assert rho_lin_max < 1.0
     elapsed = time.perf_counter() - t0
     assert elapsed < 900.0
     report(7, "cart-pole annealing, 3 trials at r=0.1", elapsed, 900.0)

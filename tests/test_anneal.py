@@ -22,6 +22,7 @@ from pgstab.anneal import (
     AdamOptimizer,
     AnnealConfig,
     AnnealState,
+    GUARD_FACTOR,
     GUARD_WINDOW,
     BudgetExceededError,
     InnerDivergedError,
@@ -257,7 +258,11 @@ def test_fixed_steps_guard_trips_on_capped_streak():
         oracle.solve(np.zeros((1, 2)), 1.0)
     # a solve shorter than the guard's window ends with no estimate to return
     oracle = SyntheticOracle(capped_grad, learning_rate=0.1, pg_steps=GUARD_WINDOW - 2)
-    with pytest.raises(InnerDivergedError, match="no finite cost estimate observed"):
+    with pytest.raises(
+        InnerDivergedError,
+        match=rf"every one of the {GUARD_WINDOW - 2} cost estimates was capped,"
+        rf" not finite or above {GUARD_FACTOR:g}x the initial cost",
+    ):
         oracle.solve(np.zeros((1, 2)), 1.0)
 
 

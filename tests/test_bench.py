@@ -195,6 +195,9 @@ def test_cli_anneal_cartpole_writes_its_reports(tmp_path, capsys):
     with open(out / "cartpole_table.csv") as fh:
         (row,) = list(csv.DictReader(fh))
     assert int(row["trials"]) == 1
+    # the last column is the trial's certificate on the linearization
+    assert list(row)[-1] == "rho_lin_max"
+    assert 0.0 < float(row["rho_lin_max"]) < 1.0
     with open(out / "trace_r0.1_trial0.csv") as fh:
         trace = list(csv.DictReader(fh))
     assert len(trace) == int(row["iters_max"])

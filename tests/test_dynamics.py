@@ -313,13 +313,26 @@ def test_batch_rollout_matches_single():
 
 
 def test_batch_rollout_divergence_column():
+    # row 0 grows as 3^t and diverges; row 1 decays as 0.5^t and is the only
+    # live row left, so the batch ends once 0.25^t <= DECAY_FRACTION^2, at 20
     lin = linear_as_nonlinear(
         LinearSystem(np.diag([3.0, 0.5]), np.array([[0.0], [1.0]]))
     )
     cost = CostSpec.identity(2, 1)
     x0s = np.array([[1.0, 0.0], [0.0, 1.0]])
     batch = rollout_cost_batch(lin, np.zeros((1, 2)), 1.0, x0s, 80, cost)
-    assert batch.diverged[0]
-    assert not batch.diverged[1]
-    assert batch.steps[0] < 80
-    assert batch.steps[1] == 80
+    assert batch.diverged.tolist() == [True, False]
+    assert batch.capped.tolist() == [False, False]
+    assert batch.steps[0] < 20
+    assert batch.steps[1] == 20
+    assert batch.costs[1] == pytest.approx(sum(0.25**t for t in range(20)), rel=1e-14)
+    # a 0.9^t row needs 132 steps to reach the floor, so the 0.5^t row runs
+    # all 80 steps with it: the batch ends as a whole, never row by row
+    lin = linear_as_nonlinear(
+        LinearSystem(np.diag([3.0, 0.5, 0.9]), np.array([[0.0], [1.0], [0.0]]))
+    )
+    cost = CostSpec.identity(3, 1)
+    batch = rollout_cost_batch(lin, np.zeros((1, 3)), 1.0, np.eye(3), 80, cost)
+    assert batch.diverged.tolist() == [True, False, False]
+    assert batch.steps.tolist()[1:] == [80, 80]
+    assert batch.costs[1] == pytest.approx(sum(0.25**t for t in range(80)), rel=1e-14)

@@ -2,23 +2,27 @@
 
 Hypothesis draws the shape of each case (system, gain layout, cost cap,
 horizon) and a seed; numpy draws the arrays from that seed.  Every batched
-result must match the reference run one row at a time: costs to 1e-12
-relative, step counts and flags exactly.
+result must match the reference run one row at a time, up to the step at
+which the whole batch has decayed: costs to 1e-12 relative, step counts and
+flags exactly.  On stable linear loops the cost the decay stop omits stays
+within its stated bound.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import damped_rollout
+from reference import damped_rollout, decay_end_step
 
 from pgstab.bench import _converged_mask
 from pgstab.dynamics import (
     BLOWUP_FACTOR,
+    DECAY_FRACTION,
     cartpole,
     linear_as_nonlinear,
     lockstep,
     rollout_cost_batch,
 )
+from pgstab.lqr import value_matrix
 from pgstab.matops import spectral_radius
 from pgstab.model import CostSpec, LinearSystem
 
@@ -69,13 +73,55 @@ def test_rollout_cost_batch_matches_reference(
     if per_row_gains:
         k = k + jitter * np.random.default_rng(seed + 1).normal(size=(n,) + k.shape)
     batch = rollout_cost_batch(sys, k, gamma, x0s, horizon, cost, rollout_cap=cap)
+    refs = [
+        damped_rollout(sys, k[i] if per_row_gains else k, gamma, x0s[i], horizon,
+                       cost, cap=cap)
+        for i in range(n)
+    ]
+    end = decay_end_step(refs, horizon)
+    for i, ref in enumerate(refs):
+        # a row still live when the batch decays ends there, with no flag
+        steps = min(ref.horizon, end)
+        ended_first = ref.horizon <= end
+        assert np.isclose(
+            batch.costs[i], ref.stage_costs[:steps].sum(), rtol=1e-12, atol=0.0
+        )
+        assert batch.steps[i] == steps
+        assert batch.diverged[i] == (ended_first and ref.diverged)
+        assert batch.capped[i] == (ended_first and ref.truncated and not ref.diverged)
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    horizon=st.integers(1, 400),
+    gamma=st.floats(0.3, 1.0),
+    cap=st.sampled_from([np.inf, 30.0]),
+)
+def test_decay_stop_omits_at_most_the_tail_bound(seed, horizon, gamma, cap):
+    # a stable damped linear loop, damped radius in [0.2, 0.95]: a row the
+    # batch ends at step t has ||x_t|| <= tau ||x_0||, and the cost it omits
+    # is at most x_t' P_K x_t <= tau^2 ||P_K|| ||x_0||^2
+    rng = np.random.default_rng(seed)
+    d_x = int(rng.integers(1, 5))
+    d_u = int(rng.integers(1, d_x + 1))
+    a, b = rng.normal(size=(d_x, d_x)), rng.normal(size=(d_x, d_u))
+    k = 0.3 * rng.normal(size=(d_u, d_x))
+    # scaling A and B together scales A + B K
+    c = rng.uniform(0.2, 0.95) / (np.sqrt(gamma) * max(spectral_radius(a + b @ k), 1e-12))
+    lin = LinearSystem(c * a, c * b)
+    cost = CostSpec.identity(d_x, d_u)
+    p_norm = np.linalg.norm(value_matrix(lin, cost, k, gamma), 2)
+    n = 12
+    x0s = rng.uniform(0.1, 10.0, size=(n, 1)) * rng.normal(size=(n, d_x))
+    sys = linear_as_nonlinear(lin)
+    batch = rollout_cost_batch(sys, k, gamma, x0s, horizon, cost, rollout_cap=cap)
     for i in range(n):
-        gain = k[i] if per_row_gains else k
-        ref = damped_rollout(sys, gain, gamma, x0s[i], horizon, cost, cap=cap)
-        assert np.isclose(batch.costs[i], ref.cost, rtol=1e-12, atol=0.0)
-        assert batch.steps[i] == ref.horizon
-        assert batch.diverged[i] == ref.diverged
-        assert batch.capped[i] == (ref.truncated and not ref.diverged)
+        full = damped_rollout(sys, k, gamma, x0s[i], horizon, cost, cap=cap)
+        bound = DECAY_FRACTION**2 * p_norm * float(x0s[i] @ x0s[i])
+        assert abs(full.cost - batch.costs[i]) <= bound + 1e-12 * full.cost
+        if batch.steps[i] < full.horizon:  # ended by decay, not by its own end
+            assert not batch.capped[i] and not batch.diverged[i]
 
 
 def converged_reference(sys, k, x0, horizon, target):

@@ -1,5 +1,7 @@
 """Tests for Monte-Carlo cost/gradient queries and their seeding contract."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from reference import (
@@ -399,6 +401,54 @@ def test_sensitivity_all_diverged_raises():
     # diverges, and has no difference left to average
     with pytest.raises(DivergedAllError, match="all two-point direction pairs"):
         eps_grad_zeroth_order(sys, np.zeros((1, 1)), 1.0, cfg, CostSpec.identity(1, 1))
+
+
+def nan_at_step(sys, call, row):
+    """``sys`` with a simulator fault: its ``call``-th step returns NaN in
+    row ``row`` of the batch (the batch still holds every row by then)."""
+    calls = [0]
+
+    def step(x, u):
+        x_next = sys.step(x, u)
+        calls[0] += 1
+        if calls[0] == call:
+            x_next = x_next.copy()
+            x_next[row] = np.nan
+        return x_next
+
+    return dataclasses.replace(sys, step=step)
+
+
+def test_simulator_nan_partway_diverges_its_row_alone():
+    # the closed loop is 0.5 I under K = 0, so every row decays as 0.5^t and a
+    # NaN-free batch ends at step 20 whichever rows it holds
+    sys = linear_as_nonlinear(LinearSystem(0.5 * np.eye(2), np.array([[1.0], [0.0]])))
+    k = np.zeros((1, 2))
+    cfg = OracleConfig(n_rollouts=6, horizon=200, seed=3)
+    x0s = initial_states(cfg, 2, 0)
+    clean = rollout_cost_batch(sys, k, 1.0, x0s, cfg.horizon, COST2)
+    assert clean.steps.tolist() == [20] * 6
+    assert not (clean.diverged | clean.capped).any()
+    others = np.arange(6) != 2
+    for call in (5, 20):  # partway, and on the step the other rows decay
+        faulty = rollout_cost_batch(
+            nan_at_step(sys, call, 2), k, 1.0, x0s, cfg.horizon, COST2
+        )
+        # the NaN row is diverged, never decayed, and ends the batch for no
+        # other row: the rest decay at step 20 with their NaN-free costs
+        assert faulty.diverged.tolist() == [False, False, True, False, False, False]
+        assert not faulty.capped.any()
+        assert faulty.steps.tolist() == [20, 20, call, 20, 20, 20]
+        np.testing.assert_allclose(
+            faulty.costs[others], clean.costs[others], rtol=1e-15, atol=0.0
+        )
+    res = eps_eval(nan_at_step(sys, 5, 2), k, 1.0, cfg, COST2)
+    assert res.capped and np.isfinite(res.value)
+    # row 2 and row 6 + 2 are the two members of direction pair 2
+    for row in (2, 8):
+        res = eps_grad_zeroth_order(nan_at_step(sys, 5, row), k, 1.0, cfg, COST2)
+        assert res.dropped == 1 and res.rollouts_used == 5 and res.capped
+        assert np.all(np.isfinite(res.gradient))
 
 
 @pytest.mark.parametrize("estimator", [eps_grad_sensitivity, eps_grad_zeroth_order])
