@@ -29,7 +29,6 @@ from .lqr import (
     lqr_cost,
     lqr_grad,
     reward_shaping_counterexample,
-    state_covariance,
     value_matrix,
 )
 from .matops import (
@@ -84,6 +83,5 @@ __all__ = [
     "run_lqr_baseline",
     "solve_dare",
     "spectral_radius",
-    "state_covariance",
     "value_matrix",
 ]

@@ -24,16 +24,14 @@ from . import files, oracles
 from .dynamics import NonlinearSystem, jacobian_linearization
 from .lqr import lqr_cost, value_matrix
 from .matops import UnstableError, solve_dare, spectral_radius
-from .model import CostSpec, LinearSystem, check_gamma, check_seed
+from .model import CostSpec, LinearSystem, check_count, check_gamma
 
 
 class AnnealError(RuntimeError):
-    """A failed annealing run; ``anneal_iteration`` is the outer iteration
-    where it failed."""
+    """A failed annealing run; ``discount_anneal`` sets ``anneal_iteration`` to
+    the outer iteration where it failed (``None`` when raised outside a run)."""
 
-    def __init__(self, message: str, iteration: int | None = None):
-        super().__init__(message)
-        self.anneal_iteration = iteration
+    anneal_iteration: int | None = None
 
 
 class InnerDivergedError(AnnealError):
@@ -70,11 +68,6 @@ class AdamOptimizer:
 # of the new gain has grown by a factor between C1 and C2.
 C1 = 2.5
 C2 = 8.0
-
-# The sampled inner loop gives up after GUARD_WINDOW consecutive cost
-# estimates that are capped, not finite, or above GUARD_FACTOR times the first.
-GUARD_WINDOW = 5
-GUARD_FACTOR = 10.0
 
 RANDOM_SEARCH_QUERIES = 501  # random search's budget: gamma = 1, then 500 samples
 
@@ -217,11 +210,10 @@ class AnnealConfig:
             raise ValueError(f"unknown oracle_mode {self.oracle_mode!r}")
         if self.pg_optimizer != "adam":
             raise ValueError(f"unknown pg_optimizer {self.pg_optimizer!r}")
-        if self.pg_steps < 0 or self.exact_max_steps < 0:
-            raise ValueError("pg_steps and exact_max_steps must be nonnegative")
+        for name in ("seed", "pg_steps", "exact_max_steps", "max_outer"):
+            check_count(getattr(self, name), name, 0)
         if self.oracle_mode == "sampled" and (self.oracle is None or self.pg_steps < 1):
             raise ValueError("sampled mode needs an OracleConfig and pg_steps >= 1")
-        check_seed(self.seed)
 
 
 @dataclass
@@ -393,42 +385,33 @@ class _SampledOracle:
             if self.cfg.oracle.estimator == "zeroth"
             else oracles.eps_grad_sensitivity
         )
-        res = estimator(self.sys, K, gamma, self.cfg.oracle, self.cost, query_index=idx)
+        try:
+            res = estimator(self.sys, K, gamma, self.cfg.oracle, self.cost, query_index=idx)
+        except oracles.DivergedAllError as exc:
+            raise InnerDivergedError(str(exc)) from exc
         return res.gradient, res.value, res.capped
 
     def solve(self, K0, gamma: float) -> PgResult:
         """``pg_steps`` Adam steps from K0 at the rate ``0.01 / radius``;
-        returns the iterate whose own gradient query estimated the lowest
-        cost, with one fresh cost query of it (that lowest one is biased low).
-        GUARD_WINDOW consecutive estimates that are capped, not finite or
-        above GUARD_FACTOR times the first raise ``InnerDivergedError``."""
+        returns the iterate with the lowest usable estimate (finite and
+        uncapped) from its own gradient query, with one fresh cost query of
+        it (that lowest one is biased low).  ``InnerDivergedError`` is raised
+        when no estimate was usable, or a gradient query lost every rollout."""
         opt = AdamOptimizer(0.01 / self.cfg.oracle.radius)
         K = np.array(K0, dtype=float)
         best_k, best_j = None, np.inf
         costs: list[float] = []
-        bad_streak = 0
         for _ in range(self.cfg.pg_steps):
             grad, value, capped = self.gradient(K, gamma)
             if not costs and not np.isfinite(value):
                 raise ValueError("the cost at the initial gain is not finite")
             costs.append(value)
-            if capped or not np.isfinite(value) or value > GUARD_FACTOR * costs[0]:
-                bad_streak += 1
-                if bad_streak >= GUARD_WINDOW:
-                    raise InnerDivergedError(
-                        f"cost estimate stayed capped or above "
-                        f"{GUARD_FACTOR:g}x the initial cost for "
-                        f"{GUARD_WINDOW} consecutive steps"
-                    )
-            else:
-                bad_streak = 0
-                if value < best_j:
-                    best_k, best_j = K.copy(), value
+            if not capped and value < best_j:
+                best_k, best_j = K.copy(), value
             K = K - opt.update(grad)
         if best_k is None:
             raise InnerDivergedError(
-                f"every one of the {self.cfg.pg_steps} cost estimates was capped,"
-                f" not finite or above {GUARD_FACTOR:g}x the initial cost"
+                f"none of the {self.cfg.pg_steps} cost estimates was finite and uncapped"
             )
         j, capped = self.evaluate(best_k, gamma)
         return PgResult(best_k, self.cfg.pg_steps, costs, j, capped=capped)
@@ -481,9 +464,10 @@ def discount_anneal(
     linearization at the origin.
 
     A failed inner solve or search raises an ``AnnealError``
-    (``InnerDivergedError`` or ``BudgetExceededError``).  Every exception raised
-    in an outer iteration carries that iteration as ``anneal_iteration``, and
-    a failed closing check carries the last one.
+    (``InnerDivergedError`` or ``BudgetExceededError``); a sampled solve
+    fails when none of its estimates is finite and uncapped.  One clause tags
+    every exception raised in an outer iteration with that iteration as
+    ``anneal_iteration``, and a failed closing check carries the last one.
 
     ``resume_from`` continues the run a manifest holds, under the same
     ``config_hash``, which covers only the fields the oracle mode reads.  A
@@ -527,15 +511,13 @@ def discount_anneal(
     K = np.array(state.history[-1].gain) if state.history else np.zeros((d_u, d_x))
     while not state.done:
         t = state.outer_iterations
-        if t >= cfg.max_outer:
-            raise BudgetExceededError(
-                f"annealing exceeded {cfg.max_outer} outer iterations", iteration=t
-            )
         gamma = state.gammas[-1]
         final = gamma >= 1.0 - 1e-12
         gamma_next = None
         transcript: list[dict] = []
         try:
+            if t >= cfg.max_outer:
+                raise BudgetExceededError(f"annealing exceeded {cfg.max_outer} outer iterations")
             pg = policy_gradient(oracle, K, gamma)
             K = pg.gain
             if not final:
@@ -569,8 +551,6 @@ def discount_anneal(
                     gamma_next = random_search_gamma(evaluator, gamma, bracket, rng)
                 if gamma_next > 1.0 - 1e-12:
                     gamma_next = 1.0
-        except oracles.DivergedAllError as exc:
-            raise InnerDivergedError(str(exc), iteration=t) from exc
         except Exception as exc:
             exc.anneal_iteration = t
             raise

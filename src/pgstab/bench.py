@@ -24,7 +24,7 @@ from .dynamics import (
 )
 from .lqr import lqr_cost, reward_shaping_counterexample
 from .matops import NotStabilizableError, solve_dare, spectral_radius
-from .model import CostSpec, LinearSystem, as_gain, check_seed
+from .model import CostSpec, LinearSystem, as_gain, check_count
 
 # Reference value for an H-infinity controller synthesized with external
 # tooling; reported for comparison only, never computed here.
@@ -84,7 +84,7 @@ def estimate_roa(sys: NonlinearSystem, K: np.ndarray, seed: int = 0) -> RoaRepor
     ``(d_u, d_x)``, or a seed that is not a non-negative integer, is refused
     with a ``ValueError``.
     """
-    check_seed(seed)
+    check_count(seed, "seed", 0)
     K = as_gain(K, sys.d_u, sys.d_x)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xD18,)))
     dirs = rng.standard_normal((ROA_DIRECTIONS, sys.d_x))
@@ -155,20 +155,29 @@ class LinearSuiteConfig:
 
     def __post_init__(self):
         self.dims, self.modes = tuple(self.dims), tuple(self.modes)
-        if self.instances < 1 or not self.dims or any(d < 1 or d % 1 for d in self.dims):
-            raise ValueError("LinearSuiteConfig needs instances >= 1 and integer dims >= 1")
+        check_count(self.instances, "instances", 1)
+        if not self.dims:
+            raise ValueError("LinearSuiteConfig needs at least one entry in dims")
+        for d in self.dims:
+            check_count(d, "dims", 1)
         if not self.modes or not set(self.modes) <= {"exact", "sampled"}:
             raise ValueError(f"modes must be 'exact' or 'sampled', got {self.modes}")
-        check_seed(self.seed)
-        _oracle(self, 1.0, 0)  # OracleConfig's checks run here, before any instance
+        check_count(self.seed, "seed", 0)
+        for mode in self.modes:  # the solves' config checks run here, before any instance
+            _anneal_cfg(self, mode, 1.0, 0)
 
 
-def _oracle(cfg, radius: float, seed: int) -> oracles.OracleConfig:
-    """The sampled oracle of a suite config (``LinearSuiteConfig`` or
-    ``CartpoleBenchConfig``) at start radius ``radius``."""
-    return oracles.OracleConfig(
+def _anneal_cfg(cfg, mode: str, radius: float, seed: int) -> AnnealConfig:
+    """One solve's config under a suite config (``LinearSuiteConfig`` or
+    ``CartpoleBenchConfig``); its sampled oracle starts at radius ``radius``,
+    and its ``OracleConfig`` is built, and so checked, in exact mode too."""
+    oracle = oracles.OracleConfig(
         n_rollouts=cfg.n_rollouts, horizon=cfg.horizon, radius=radius,
         seed=seed, estimator=cfg.estimator,
+    )
+    return AnnealConfig(
+        oracle_mode=mode, seed=seed, pg_steps=cfg.pg_steps, max_outer=cfg.max_outer,
+        oracle=oracle if mode == "sampled" else None,
     )
 
 
@@ -195,15 +204,7 @@ def run_linear_suite(cfg: LinearSuiteConfig) -> list[dict]:
             seed_i = int(
                 np.random.SeedSequence(cfg.seed, spawn_key=(i, 7)).generate_state(1)[0]
             )
-            anneal_cfg = AnnealConfig(
-                oracle_mode=mode,
-                seed=seed_i,
-                max_outer=cfg.max_outer,
-                oracle=(
-                    _oracle(cfg, math.sqrt(d_x), seed_i) if mode == "sampled" else None
-                ),
-                pg_steps=cfg.pg_steps,
-            )
+            anneal_cfg = _anneal_cfg(cfg, mode, math.sqrt(d_x), seed_i)
             row = {
                 "instance": i,
                 "d_x": lin.d_x,
@@ -262,11 +263,12 @@ class CartpoleBenchConfig:
 
     def __post_init__(self):
         self.radii = tuple(self.radii)
-        if not self.radii or self.trials < 1:
-            raise ValueError("CartpoleBenchConfig needs radii and trials >= 1")
-        check_seed(self.seed)
-        for r in self.radii:  # OracleConfig's checks run here, before any trial
-            _oracle(self, r, 0)
+        if not self.radii:
+            raise ValueError("CartpoleBenchConfig needs at least one entry in radii")
+        check_count(self.trials, "trials", 1)
+        check_count(self.seed, "seed", 0)
+        for r in self.radii:  # the trials' config checks run here, before any trial
+            _anneal_cfg(self, "sampled", r, 0)
 
 
 def run_cartpole(cfg: CartpoleBenchConfig) -> dict:
@@ -292,13 +294,7 @@ def run_cartpole(cfg: CartpoleBenchConfig) -> dict:
             seed_ij = int(
                 np.random.SeedSequence(cfg.seed, spawn_key=(i, j)).generate_state(1)[0]
             )
-            anneal_cfg = AnnealConfig(
-                oracle_mode="sampled",
-                seed=seed_ij,
-                oracle=_oracle(cfg, radius, seed_ij),
-                pg_steps=cfg.pg_steps,
-                max_outer=cfg.max_outer,
-            )
+            anneal_cfg = _anneal_cfg(cfg, "sampled", radius, seed_ij)
             K_hat, state = discount_anneal(sys, cost, anneal_cfg)
             roa = estimate_roa(sys, K_hat)
             roas.append(roa.rho_roa)

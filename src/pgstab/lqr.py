@@ -47,14 +47,6 @@ def lqr_cost(
     return float(np.trace(value_matrix(sys, cost, K, gamma)))
 
 
-def state_covariance(
-    sys: LinearSystem, K: np.ndarray, gamma: float = 1.0
-) -> np.ndarray:
-    """Discounted state covariance Sigma_K = sum_t gamma^t A_cl^t (A_cl^t)'."""
-    _, a_cl = _closed_loop(sys, K, gamma)
-    return dlyap((np.sqrt(gamma) * a_cl).T, np.eye(sys.d_x))
-
-
 def lqr_grad(
     sys: LinearSystem, cost: CostSpec, K: np.ndarray, gamma: float = 1.0
 ) -> np.ndarray:

@@ -37,10 +37,12 @@ def check_gamma(gamma: float) -> None:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
 
 
-def check_seed(seed) -> None:
-    """Refuse a seed that is not a non-negative integer (a ``bool`` is refused)."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+def check_count(value, name: str, minimum: int) -> None:
+    """Refuse a count (or seed) that is not an integer of at least ``minimum``;
+    a ``bool`` is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        least = "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}"
+        raise ValueError(f"{name} must be {least}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import NonlinearSystem, lockstep, rollout_cost_batch
-from .model import CostSpec, check_gamma, check_seed
+from .model import CostSpec, check_count, check_gamma
 
 
 SMOOTHING_RADIUS = 1e-2  # perturbation size of the two-point zeroth-order estimator
@@ -34,7 +34,8 @@ class DivergedAllError(RuntimeError):
 class OracleConfig:
     """Sampling configuration for cost/gradient queries.
 
-    ``radius`` must be positive and finite, ``seed`` a non-negative integer.
+    ``n_rollouts`` and ``horizon`` must be integers of at least 1, ``radius``
+    positive and finite, ``seed`` a non-negative integer.
     The zeroth-order perturbation size is the constant ``SMOOTHING_RADIUS``,
     and the cap of an evaluation is an argument of ``eps_eval``, the one query
     it bounds.
@@ -47,15 +48,13 @@ class OracleConfig:
     estimator: str = "sensitivity"  # "sensitivity" | "zeroth"
 
     def __post_init__(self):
-        if self.n_rollouts < 1:
-            raise ValueError("n_rollouts must be at least 1")
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
+        check_count(self.n_rollouts, "n_rollouts", 1)
+        check_count(self.horizon, "horizon", 1)
         if not 0.0 < self.radius < np.inf:
             raise ValueError(f"radius must be positive and finite, got {self.radius}")
         if self.estimator not in ("sensitivity", "zeroth"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
-        check_seed(self.seed)
+        check_count(self.seed, "seed", 0)
 
 
 @dataclass

@@ -9,9 +9,10 @@ two discount searches as separate loops, the discounted Riccati equation
 solved by plain value iteration, the discrete Lyapunov equation summed by
 doubling (``dlyap_doubling``, which also runs in extended precision), the
 residual of a discrete Lyapunov solution, the damped system that a discount
-stands for, the exact policy gradient from two separate Lyapunov solves,
-Hewer's policy iteration evaluated by scipy, and the forward-sensitivity
-gradient stepped through the closed-loop Jacobian.
+stands for, the discounted state covariance, the exact policy gradient from
+two separate Lyapunov solves, Hewer's policy iteration evaluated by scipy,
+and the forward-sensitivity gradient stepped through the closed-loop
+Jacobian.
 """
 
 from __future__ import annotations
@@ -424,6 +425,14 @@ def damp(sys: LinearSystem, gamma: float) -> LinearSystem:
     check_gamma(gamma)
     sq = np.sqrt(gamma)
     return LinearSystem(sq * sys.A, sq * sys.B)
+
+
+def state_covariance(sys: LinearSystem, K: np.ndarray, gamma: float = 1.0) -> np.ndarray:
+    """Discounted state covariance Sigma_K = sum_t gamma^t A_cl^t (A_cl^t)',
+    the solution of Sigma = I + gamma A_cl Sigma A_cl'."""
+    check_gamma(gamma)
+    damped = np.sqrt(gamma) * sys.closed_loop(np.asarray(K, dtype=float))
+    return dlyap(damped.T, np.eye(sys.d_x))
 
 
 def lqr_grad_two_solves(

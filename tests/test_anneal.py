@@ -22,8 +22,6 @@ from pgstab.anneal import (
     AdamOptimizer,
     AnnealConfig,
     AnnealState,
-    GUARD_FACTOR,
-    GUARD_WINDOW,
     BudgetExceededError,
     InnerDivergedError,
     IterationRecord,
@@ -249,33 +247,44 @@ def test_fixed_steps_returns_best_measured_iterate():
     assert value < res.costs[-1]
 
 
-def test_fixed_steps_guard_trips_on_capped_streak():
+@pytest.mark.parametrize("pg_steps", [3, 50])
+def test_fixed_steps_raises_when_no_estimate_is_usable(pg_steps):
+    # every estimate is finite but capped: the solve spends all its steps,
+    # then fails with none to return and makes no cost query
     def capped_grad(k):
         return np.zeros_like(k), 1.0, True
 
-    oracle = SyntheticOracle(capped_grad, learning_rate=0.1, pg_steps=50)
-    with pytest.raises(InnerDivergedError, match="consecutive steps"):
-        oracle.solve(np.zeros((1, 2)), 1.0)
-    # a solve shorter than the guard's window ends with no estimate to return
-    oracle = SyntheticOracle(capped_grad, learning_rate=0.1, pg_steps=GUARD_WINDOW - 2)
+    oracle = SyntheticOracle(capped_grad, learning_rate=0.1, pg_steps=pg_steps)
     with pytest.raises(
         InnerDivergedError,
-        match=rf"every one of the {GUARD_WINDOW - 2} cost estimates was capped,"
-        rf" not finite or above {GUARD_FACTOR:g}x the initial cost",
+        match=rf"none of the {pg_steps} cost estimates was finite and uncapped",
     ):
         oracle.solve(np.zeros((1, 2)), 1.0)
+    assert (oracle.grad_queries, oracle.eval_queries) == (pg_steps, 0)
 
 
-def test_fixed_steps_guard_resets_between_bad_steps():
+def test_fixed_steps_returns_lowest_usable_iterate_after_capped_streak():
+    # six capped estimates, below every usable one, then usable estimates that
+    # fall as Adam walks toward the minimum (at this rate it cannot overshoot
+    # in 20 steps): the capped ones are never kept, and the last iterate is
+    # returned with one fresh cost query of it
+    target = np.array([[0.3, -0.7]])
+    base = quadratic_grad(target)
     calls = {"n": 0}
 
-    def alternating_grad(k):
+    def grad_fn(k):
         calls["n"] += 1
-        return np.zeros_like(k), 1.0, calls["n"] % 2 == 0
+        grad, value, _ = base(k)
+        capped = calls["n"] <= 6
+        return grad, 0.5 if capped else value, capped
 
-    oracle = SyntheticOracle(alternating_grad, learning_rate=0.1, pg_steps=30)
+    oracle = SyntheticOracle(grad_fn, learning_rate=0.01, pg_steps=20)
     res = oracle.solve(np.zeros((1, 2)), 1.0)
-    assert res.steps == 30
+    assert res.costs[:6] == [0.5] * 6
+    assert all(b < a for a, b in zip(res.costs[6:], res.costs[7:]))
+    assert (oracle.grad_queries, oracle.eval_queries) == (20, 1)
+    assert res.cost == quadratic_value(res.gain, target) == res.costs[-1]
+    assert not res.capped
 
 
 def test_fixed_steps_rejects_infinite_start():
@@ -344,6 +353,14 @@ def test_binary_search_budget_error():
 
     with pytest.raises(BudgetExceededError):
         binary_search_gamma(evaluator, 0.1, bracket)
+
+
+def test_search_budget_error_outside_a_run_has_no_iteration():
+    # only discount_anneal tags an error with its outer iteration
+    bracket = SearchBracket(f1_bar=5.0, f2_bar=20.0, eps=0.1, budget=16)
+    with pytest.raises(BudgetExceededError) as excinfo:
+        binary_search_gamma(lambda g: 100.0 if g >= 0.5 else 1.0, 0.1, bracket)
+    assert excinfo.value.anneal_iteration is None
 
 
 def test_binary_search_rejects_bad_gamma():
@@ -746,23 +763,40 @@ def test_anneal_tags_inner_budget_error_with_iteration():
     assert excinfo.value.anneal_iteration == 1
 
 
-def test_anneal_tags_all_diverged_gradient_query_with_iteration():
-    # x' = 0.5 x + 10 x^3 + u: the linearization is stable, so annealing
-    # starts undamped at gamma = 1, but every rollout from radius 1 explodes
+def cubic_system() -> NonlinearSystem:
+    """x' = 0.5 x + 10 x^3 + u: the linearization is stable, so annealing
+    starts undamped at gamma = 1, but every rollout from radius 1 explodes."""
+
     def step(x, u):
         return 0.5 * x + 10.0 * x**3 + u
 
     def step_jac(x, u):
         return step(x, u), (0.5 + 30.0 * x**2)[:, :, None], np.ones((x.shape[0], 1, 1))
 
-    cubic = NonlinearSystem(d_x=1, d_u=1, step=step, step_jac=step_jac)
-    cfg = AnnealConfig(
-        oracle_mode="sampled",
-        oracle=OracleConfig(n_rollouts=8, horizon=50, radius=1.0, seed=0),
-        pg_steps=5,
-    )
+    return NonlinearSystem(d_x=1, d_u=1, step=step, step_jac=step_jac)
+
+
+CUBIC_CFG = AnnealConfig(
+    oracle_mode="sampled",
+    oracle=OracleConfig(n_rollouts=8, horizon=50, radius=1.0, seed=0),
+    pg_steps=5,
+)
+
+
+def test_sampled_solve_turns_all_diverged_gradient_query_into_inner_diverged():
+    # the gradient query that loses every rollout ends the solve at once,
+    # and outside a run nothing tags the error with an iteration
+    oracle = _SampledOracle(cubic_system(), CostSpec.identity(1, 1), CUBIC_CFG)
     with pytest.raises(InnerDivergedError) as excinfo:
-        discount_anneal(cubic, CostSpec.identity(1, 1), cfg)
+        oracle.solve(np.zeros((1, 1)), 1.0)
+    assert isinstance(excinfo.value.__cause__, DivergedAllError)
+    assert excinfo.value.anneal_iteration is None
+    assert (oracle.grad_queries, oracle.eval_queries) == (1, 0)
+
+
+def test_anneal_tags_all_diverged_gradient_query_with_iteration():
+    with pytest.raises(InnerDivergedError) as excinfo:
+        discount_anneal(cubic_system(), CostSpec.identity(1, 1), CUBIC_CFG)
     assert excinfo.value.anneal_iteration == 0
     assert isinstance(excinfo.value.__cause__, DivergedAllError)
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pgstab import bench, cli
+from pgstab.anneal import AnnealConfig
 from pgstab.bench import (
     CartpoleBenchConfig,
     LinearSuiteConfig,
@@ -21,6 +22,7 @@ from pgstab.dynamics import cartpole, linear_as_nonlinear
 from pgstab.files import write_csv
 from pgstab.matops import solve_dare, spectral_radius
 from pgstab.model import CostSpec, LinearSystem
+from pgstab.oracles import OracleConfig
 
 
 def test_roa_globally_stable_loop_reports_ceiling():
@@ -353,6 +355,29 @@ def test_suite_configs_refuse_oracle_settings_when_built(field):
             cls(**{field: bad})
 
 
+@pytest.mark.parametrize(
+    "cls, kwargs, name",
+    [
+        (OracleConfig, {"horizon": 2.5}, "horizon"),
+        (OracleConfig, {"n_rollouts": True}, "n_rollouts"),
+        (AnnealConfig, {"max_outer": 0.5}, "max_outer"),
+        (AnnealConfig, {"pg_steps": -1}, "pg_steps"),
+        (AnnealConfig, {"exact_max_steps": 1e3}, "exact_max_steps"),
+        (LinearSuiteConfig, {"instances": np.float64(2.0)}, "instances"),
+        (CartpoleBenchConfig, {"trials": True}, "trials"),
+    ],
+)
+def test_configs_refuse_counts_that_are_not_integers(cls, kwargs, name):
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        cls(**kwargs)
+
+
+def test_configs_accept_numpy_integer_counts():
+    cfg = OracleConfig(n_rollouts=np.int64(3), horizon=np.uint16(5))
+    assert (cfg.n_rollouts, cfg.horizon) == (3, 5)
+    assert AnnealConfig(max_outer=np.int32(0)).max_outer == 0
+
+
 ROA_GAIN = {"gain": [[0.0, 0.0, 0.0, 0.0]]}
 NAN, INF = float("nan"), float("inf")  # json writes and reads them as NaN, Infinity
 
@@ -382,6 +407,18 @@ NAN, INF = float("nan"), float("inf")  # json writes and reads them as NaN, Infi
         ("baseline-lqr", {"seed": True}, "seed"),
         ("anneal-linear", {"seed": "a"}, "seed"),
         ("anneal-cartpole", {"seed": -1}, "seed"),
+        # a count must be an integer, refused where it enters rather than as
+        # a failed row or trial
+        ("anneal-linear", {"instances": 1.5}, "instances"),
+        ("anneal-linear", {"modes": ["sampled"], "n_rollouts": 20.5}, "n_rollouts"),
+        ("anneal-linear", {"pg_steps": 2.5}, "pg_steps"),
+        ("anneal-linear", {"max_outer": 0.5}, "max_outer"),
+        ("anneal-linear", {"horizon": 2.5}, "horizon"),
+        ("anneal-linear", {"dims": [2, True]}, "dims"),
+        ("anneal-cartpole", {"trials": True}, "trials"),
+        ("anneal-cartpole", {"pg_steps": 1.5}, "pg_steps"),
+        ("anneal-cartpole", {"max_outer": -1}, "max_outer"),
+        ("anneal-cartpole", {"horizon": 2.5}, "horizon"),
     ],
 )
 def test_cli_refuses_invalid_config_values(tmp_path, capsys, command, config, field):

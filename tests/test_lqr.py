@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import damp, lqr_grad_two_solves
+from reference import damp, lqr_grad_two_solves, state_covariance
 
 import pgstab.lqr
 from pgstab.lqr import (
     lqr_cost,
     lqr_grad,
     reward_shaping_counterexample,
-    state_covariance,
     value_matrix,
 )
 from pgstab.matops import UnstableError, dlyap, solve_dare, spectral_radius
