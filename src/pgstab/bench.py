@@ -142,10 +142,14 @@ def sample_stabilizable_system(rng: np.random.Generator, d_x: int) -> LinearSyst
 
 @dataclass
 class LinearSuiteConfig:
+    """One suite run solves every draw in one ``oracle_mode`` (``AnnealConfig``'s
+    name and values); the draws depend only on ``seed`` and the instance
+    index, so two runs at one seed compare the modes draw by draw."""
+
     instances: int = 10
     dims: tuple = (2, 3, 4)
     seed: int = 0
-    modes: tuple = ("exact",)
+    oracle_mode: str = "exact"
     n_rollouts: int = 400
     horizon: int = 250
     pg_steps: int = 80
@@ -154,17 +158,19 @@ class LinearSuiteConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        self.dims, self.modes = tuple(self.dims), tuple(self.modes)
+        self.dims = _entries(self.dims, "dims")
         check_count(self.instances, "instances", 1)
-        if not self.dims:
-            raise ValueError("LinearSuiteConfig needs at least one entry in dims")
         for d in self.dims:
             check_count(d, "dims", 1)
-        if not self.modes or not set(self.modes) <= {"exact", "sampled"}:
-            raise ValueError(f"modes must be 'exact' or 'sampled', got {self.modes}")
         check_count(self.seed, "seed", 0)
-        for mode in self.modes:  # the solves' config checks run here, before any instance
-            _anneal_cfg(self, mode, 1.0, 0)
+        _anneal_cfg(self, self.oracle_mode, 1.0, 0)  # the solves' checks, before any instance
+
+
+def _entries(value, name: str) -> tuple:
+    """A non-empty list or tuple of settings, as a tuple."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ValueError(f"{name} must be a non-empty list, got {value!r}")
+    return tuple(value)
 
 
 def _anneal_cfg(cfg, mode: str, radius: float, seed: int) -> AnnealConfig:
@@ -200,44 +206,43 @@ def run_linear_suite(cfg: LinearSuiteConfig) -> list[dict]:
         p_star, _ = solve_dare(lin, cost, 1.0)
         tr_p_star = float(np.trace(p_star))
         sys = linear_as_nonlinear(lin, name=f"linear-{i}")
-        for mode in cfg.modes:
-            seed_i = int(
-                np.random.SeedSequence(cfg.seed, spawn_key=(i, 7)).generate_state(1)[0]
+        seed_i = int(
+            np.random.SeedSequence(cfg.seed, spawn_key=(i, 7)).generate_state(1)[0]
+        )
+        anneal_cfg = _anneal_cfg(cfg, cfg.oracle_mode, math.sqrt(d_x), seed_i)
+        row = {
+            "instance": i,
+            "d_x": lin.d_x,
+            "d_u": lin.d_u,
+            "mode": cfg.oracle_mode,
+            "tr_p_star": tr_p_star,
+            "rho_open_loop": spectral_radius(lin.A),
+        }
+        try:
+            K_hat, state = discount_anneal(sys, cost, anneal_cfg)
+            final_cost = lqr_cost(lin, cost, K_hat, 1.0)
+            row.update(
+                {
+                    "status": "ok",
+                    "final_cost": final_cost,
+                    "gap": final_cost - tr_p_star,
+                    "outer_iters": state.outer_iterations,
+                    "eval_queries": state.eval_queries,
+                    "grad_queries": state.grad_queries,
+                    "max_search_queries": max(
+                        (r.search_queries for r in state.history), default=0
+                    ),
+                    "rho_closed_loop": state.final_spectral_radius,
+                    "anneal_iteration": None,
+                }
             )
-            anneal_cfg = _anneal_cfg(cfg, mode, math.sqrt(d_x), seed_i)
-            row = {
-                "instance": i,
-                "d_x": lin.d_x,
-                "d_u": lin.d_u,
-                "mode": mode,
-                "tr_p_star": tr_p_star,
-                "rho_open_loop": spectral_radius(lin.A),
-            }
-            try:
-                K_hat, state = discount_anneal(sys, cost, anneal_cfg)
-                final_cost = lqr_cost(lin, cost, K_hat, 1.0)
-                row.update(
-                    {
-                        "status": "ok",
-                        "final_cost": final_cost,
-                        "gap": final_cost - tr_p_star,
-                        "outer_iters": state.outer_iterations,
-                        "eval_queries": state.eval_queries,
-                        "grad_queries": state.grad_queries,
-                        "max_search_queries": max(
-                            (r.search_queries for r in state.history), default=0
-                        ),
-                        "rho_closed_loop": state.final_spectral_radius,
-                        "anneal_iteration": None,
-                    }
-                )
-            except Exception as exc:  # noqa: BLE001 - suite must keep going
-                row.update({"status": f"error:{type(exc).__name__}", "final_cost": np.nan,
-                            "gap": np.nan, "outer_iters": -1, "eval_queries": -1,
-                            "grad_queries": -1, "max_search_queries": -1,
-                            "rho_closed_loop": np.nan,
-                            "anneal_iteration": getattr(exc, "anneal_iteration", None)})
-            rows.append(row)
+        except Exception as exc:  # noqa: BLE001 - suite must keep going
+            row.update({"status": f"error:{type(exc).__name__}", "final_cost": np.nan,
+                        "gap": np.nan, "outer_iters": -1, "eval_queries": -1,
+                        "grad_queries": -1, "max_search_queries": -1,
+                        "rho_closed_loop": np.nan,
+                        "anneal_iteration": getattr(exc, "anneal_iteration", None)})
+        rows.append(row)
     if cfg.out_dir is not None:
         out = Path(cfg.out_dir)
         header = list(rows[0].keys())
@@ -262,9 +267,7 @@ class CartpoleBenchConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        self.radii = tuple(self.radii)
-        if not self.radii:
-            raise ValueError("CartpoleBenchConfig needs at least one entry in radii")
+        self.radii = _entries(self.radii, "radii")
         check_count(self.trials, "trials", 1)
         check_count(self.seed, "seed", 0)
         for r in self.radii:  # the trials' config checks run here, before any trial

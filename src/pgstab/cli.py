@@ -1,13 +1,14 @@
 """Command-line entry points for the benchmarks and reports.
 
-Every subcommand accepts ``--config`` (a JSON file whose top-level keys
-override the defaults of that subcommand's config) and ``--out``.  Quick
-overrides are registered only where they are read: ``--seed`` on every
-subcommand but ``counterexample``, ``--estimator`` on ``anneal-linear`` and
-``anneal-cartpole``, and ``--oracle`` on ``anneal-linear``.  On success the
-exit code is 0 and a JSON summary goes to stdout; on failure the exit code
-is nonzero and a machine-readable error record goes to stderr.  Config keys
-or flags the subcommand does not accept are refused with exit code 2.
+An experiment's settings come only from ``--config``, a JSON file whose
+top-level keys override the defaults of that subcommand's config under the
+names the library uses (``oracle_mode``, ``estimator``, ...).  The command
+line carries only where to write (``--out``) and, on every subcommand whose
+config has a ``seed`` key, which replicate to run (``--seed``, which
+overrides that key).  On success the exit code is 0 and a JSON summary goes
+to stdout; on failure the exit code is nonzero and a machine-readable error
+record goes to stderr.  Config keys or values the subcommand does not accept,
+and flags it does not register, are refused with exit code 2.
 """
 
 from __future__ import annotations
@@ -82,75 +83,33 @@ def _check_keys(cfg: dict, accepted: set[str], where: str) -> None:
             _check_keys(value, _NESTED_KEYS[key], f"{where}{key}.")
 
 
-def _with_flags(args, cfg: dict) -> dict:
-    """The config with the ``--seed``, ``--out`` and ``--estimator`` overrides."""
-    flags = {"seed": args.seed, "out_dir": args.out, "estimator": args.estimator}
-    return {**cfg, **{k: v for k, v in flags.items() if v is not None}}
+def _cmd_anneal_linear(**cfg) -> dict:
+    suite = LinearSuiteConfig(**cfg)
+    rows = run_linear_suite(suite)
+    failures = sum(r["status"] != "ok" for r in rows)
+    return {"rows": len(rows), "failures": failures, "out_dir": suite.out_dir}
 
 
-def _cmd_anneal_linear(args, cfg: dict) -> dict:
-    kwargs = _with_flags(args, cfg)
-    if args.oracle is not None:
-        kwargs["modes"] = (args.oracle,)
-    rows = run_linear_suite(LinearSuiteConfig(**kwargs))
-    failures = [r for r in rows if r["status"] != "ok"]
-    return {
-        "rows": len(rows),
-        "failures": len(failures),
-        "out_dir": kwargs.get("out_dir"),
-    }
+def _cmd_anneal_cartpole(**cfg) -> dict:
+    bench = CartpoleBenchConfig(**cfg)
+    return {"table": run_cartpole(bench)["table"], "out_dir": bench.out_dir}
 
 
-def _cmd_anneal_cartpole(args, cfg: dict) -> dict:
-    kwargs = _with_flags(args, cfg)
-    if "params" in cfg:
-        kwargs["params"] = CartPoleParams(**cfg["params"])
-    result = run_cartpole(CartpoleBenchConfig(**kwargs))
-    return {"table": result["table"], "out_dir": kwargs.get("out_dir")}
+def _cmd_roa(system=None, gain=None, seed=0, out_dir=None) -> dict:
+    report = estimate_roa(_system_from_spec(system or {}), gain, seed)
+    if out_dir is not None:
+        files.write_json(Path(out_dir) / "roa.json", report.to_dict())
+    return {"rho_roa": report.rho_roa, "out_dir": out_dir}
 
 
-def _seed(args, cfg: dict) -> int:
-    """The config's ``seed`` with the ``--seed`` override applied."""
-    return cfg.get("seed", 0) if args.seed is None else args.seed
-
-
-def _cmd_roa(args, cfg: dict) -> dict:
-    sys_obj = _system_from_spec(cfg.get("system", {}))
-    report = estimate_roa(sys_obj, cfg.get("gain"), _seed(args, cfg))
-    if args.out is not None:
-        files.write_json(Path(args.out) / "roa.json", report.to_dict())
-    return {"rho_roa": report.rho_roa, "out_dir": args.out}
-
-
-def _cmd_counterexample(args, cfg: dict) -> dict:
-    return run_counterexample(out_dir=args.out, **cfg)
-
-
-def _cmd_baseline_lqr(args, cfg: dict) -> dict:
-    params = CartPoleParams(**cfg.get("params", {}))
-    return run_lqr_baseline(params, _seed(args, cfg), out_dir=args.out)
-
-
-_FLAGS = {
-    "--seed": dict(type=int, help="master seed override"),
-    "--oracle": dict(choices=("exact", "sampled"), help="oracle mode"),
-    "--estimator": dict(
-        choices=("sensitivity", "zeroth"),
-        help="gradient estimator for sampled oracles",
-    ),
-}
-# each subcommand: its function, the config keys it accepts and the
-# quick-override flags it reads
+# each subcommand: its function, called with the config as keyword
+# arguments, and the config keys it accepts
 _COMMANDS = {
-    "anneal-linear": (
-        _cmd_anneal_linear, _fields(LinearSuiteConfig), ("--seed", "--oracle", "--estimator")
-    ),
-    "anneal-cartpole": (
-        _cmd_anneal_cartpole, _fields(CartpoleBenchConfig), ("--seed", "--estimator")
-    ),
-    "roa": (_cmd_roa, {"system", "gain", "seed"}, ("--seed",)),
-    "counterexample": (_cmd_counterexample, {"gamma"}, ()),
-    "baseline-lqr": (_cmd_baseline_lqr, {"params", "seed"}, ("--seed",)),
+    "anneal-linear": (_cmd_anneal_linear, _fields(LinearSuiteConfig)),
+    "anneal-cartpole": (_cmd_anneal_cartpole, _fields(CartpoleBenchConfig)),
+    "roa": (_cmd_roa, {"system", "gain", "seed"}),
+    "counterexample": (run_counterexample, {"gamma"}),
+    "baseline-lqr": (run_lqr_baseline, {"params", "seed"}),
 }
 
 
@@ -160,23 +119,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stabilize systems by discount-annealed policy gradients.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, _, flags) in _COMMANDS.items():
+    for name, (_, accepted) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out", default=None, help="output directory")
-        for flag in flags:
-            p.add_argument(flag, default=None, **_FLAGS[flag])
+        if "seed" in accepted:
+            p.add_argument("--seed", type=int, default=None, help="replicate to run")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        command, accepted, _ = _COMMANDS[args.command]
+        command, accepted = _COMMANDS[args.command]
         cfg = _load_config(args.config)
         _check_keys(cfg, accepted, "")
-        summary = command(args, cfg)
+        if getattr(args, "seed", None) is not None:
+            cfg["seed"] = args.seed
+        if args.out is not None:
+            cfg["out_dir"] = args.out
+        if "params" in cfg:
+            cfg["params"] = CartPoleParams(**cfg["params"])
+        summary = command(**cfg)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         _sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import CostSpec, LinearSystem, check_gamma
+from .model import CostSpec, LinearSystem, check_gamma, check_real
 
 BLOWUP_FACTOR = 1e6  # ||x_t|| > BLOWUP_FACTOR * max(1, ||x0||) counts as divergence
 DECAY_FRACTION = 1e-6  # a batch ends once every live row has ||x_t|| <= this * ||x0||
@@ -90,8 +90,7 @@ class CartPoleParams:
 
     def __post_init__(self):
         for name in ("m_p", "m_c", "l", "g", "ts"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite")
+            check_real(getattr(self, name), name)
 
 
 def cartpole(params: CartPoleParams | None = None) -> NonlinearSystem:

@@ -13,11 +13,17 @@ from pathlib import Path
 import numpy as np
 
 
+def _plain(value):
+    """A numpy scalar as the Python number it holds, anything else as text, so
+    ``seed=np.int64(3)`` is written, and hashed, as ``seed=3``."""
+    return value.item() if isinstance(value, np.generic) else str(value)
+
+
 def digest(config, *excluded: str) -> str:
     """First 16 hex digits of the SHA-256 of a dataclass config's fields,
     less ``excluded``, as sorted-key JSON."""
     hashed = {k: v for k, v in asdict(config).items() if k not in excluded}
-    text = json.dumps(hashed, sort_keys=True, default=str)
+    text = json.dumps(hashed, sort_keys=True, default=_plain)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -33,7 +39,7 @@ def _replace(path: Path, text: str) -> None:
 def write_json(path: Path, obj) -> None:
     """Indented strict JSON: a non-finite float fails the write with
     ``ValueError`` rather than produce a file a strict reader refuses."""
-    _replace(path, json.dumps(obj, indent=2, allow_nan=False, default=str))
+    _replace(path, json.dumps(obj, indent=2, allow_nan=False, default=_plain))
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:

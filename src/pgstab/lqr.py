@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .matops import dlyap, solve_dare, spectral_radius
-from .model import CostSpec, LinearSystem, check_gamma
+from .model import CostSpec, LinearSystem, check_gamma, check_real
 
 
 def _closed_loop(
@@ -87,8 +87,7 @@ def reward_shaping_counterexample(gamma: float) -> ShapingWitness:
     for every admitted gamma: beta = 1/2 needs no search.  ``gamma < 1/4``
     already damps the open loop (2 sqrt(gamma) < 1), so the solve cannot fail.
     """
-    if not (0.0 < gamma < 0.25):
-        raise ValueError(f"gamma must lie in (0, 1/4) for this family, got {gamma}")
+    check_real(gamma, "gamma", 0.0, 0.25)
     sys = LinearSystem(np.diag([0.0, 2.0]), np.array([[1.0], [0.5]]))
     _, K = solve_dare(sys, CostSpec.identity(2, 1), gamma)
     rho = spectral_radius(sys.closed_loop(K))

@@ -45,6 +45,14 @@ def check_count(value, name: str, minimum: int) -> None:
         raise ValueError(f"{name} must be {least}, got {value!r}")
 
 
+def check_real(value, name: str, low: float = 0.0, high: float = np.inf) -> None:
+    """Refuse a value that is not a real number in the open interval
+    ``(low, high)``; a ``bool`` is refused, and so is NaN."""
+    real = isinstance(value, (int, float, np.integer, np.floating))
+    if isinstance(value, bool) or not real or not low < value < high:
+        raise ValueError(f"{name} must be a real number in ({low:g}, {high:g}), got {value!r}")
+
+
 @dataclass(frozen=True)
 class LinearSystem:
     """Discrete-time linear dynamics ``x' = A x + B u``."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import NonlinearSystem, lockstep, rollout_cost_batch
-from .model import CostSpec, check_count, check_gamma
+from .model import CostSpec, check_count, check_gamma, check_real
 
 
 SMOOTHING_RADIUS = 1e-2  # perturbation size of the two-point zeroth-order estimator
@@ -50,8 +50,7 @@ class OracleConfig:
     def __post_init__(self):
         check_count(self.n_rollouts, "n_rollouts", 1)
         check_count(self.horizon, "horizon", 1)
-        if not 0.0 < self.radius < np.inf:
-            raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        check_real(self.radius, "radius")
         if self.estimator not in ("sensitivity", "zeroth"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
         check_count(self.seed, "seed", 0)

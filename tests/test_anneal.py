@@ -1041,6 +1041,20 @@ def test_anneal_exact_manifest_resumes_under_unread_sampled_settings(tmp_path):
     assert resumed.gammas == fresh.gammas
 
 
+def test_anneal_manifest_under_numpy_integer_seed_resumes_under_the_int(tmp_path):
+    # a numpy scalar is hashed, and written, as the number it holds
+    assert config_hash(AnnealConfig(seed=np.int64(3))) == config_hash(AnnealConfig(seed=3))
+    nls = linear_as_nonlinear(SYS)
+    out = tmp_path / "run"
+    with pytest.raises(BudgetExceededError):
+        discount_anneal(nls, cfg=AnnealConfig(seed=np.int64(3), max_outer=1, out_dir=str(out)))
+    assert json.loads((out / "manifest.json").read_text())["config"]["seed"] == 3
+    resumed_gain, _ = discount_anneal(
+        nls, cfg=AnnealConfig(seed=3), resume_from=out / "manifest.json"
+    )
+    assert np.array_equal(resumed_gain, discount_anneal(nls, cfg=AnnealConfig(seed=3))[0])
+
+
 def test_anneal_writes_manifest_and_gains_on_success(tmp_path):
     nls = linear_as_nonlinear(SYS)
     out = tmp_path / "run"

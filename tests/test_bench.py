@@ -19,7 +19,7 @@ from pgstab.bench import (
 )
 from pgstab.cli import build_parser, main
 from pgstab.dynamics import cartpole, linear_as_nonlinear
-from pgstab.files import write_csv
+from pgstab.files import write_csv, write_json
 from pgstab.matops import solve_dare, spectral_radius
 from pgstab.model import CostSpec, LinearSystem
 from pgstab.oracles import OracleConfig
@@ -49,6 +49,14 @@ def test_roa_is_deterministic_per_seed():
     assert not np.array_equal(a.directions, c.directions)
 
 
+def test_write_json_writes_numpy_scalars_as_numbers(tmp_path):
+    sys = linear_as_nonlinear(LinearSystem(0.5 * np.eye(2), np.array([[1.0], [0.0]])))
+    write_json(tmp_path / "roa.json", estimate_roa(sys, np.zeros((1, 2)), np.int64(3)).to_dict())
+    assert json.loads((tmp_path / "roa.json").read_text())["seed"] == 3
+    write_json(tmp_path / "x.json", {"n": np.uint8(2), "ok": np.bool_(True), "x": np.float32(0.5)})
+    assert json.loads((tmp_path / "x.json").read_text()) == {"n": 2, "ok": True, "x": 0.5}
+
+
 def test_write_csv_round_trips_floats(tmp_path):
     path = tmp_path / "table.csv"
     rows = [[np.float64(0.1), 0.2, 3, "label"], [1.0 / 3.0, np.float64(2.0) ** -52, 0, "x"]]
@@ -75,7 +83,7 @@ def test_sample_stabilizable_system_respects_radius_band():
 
 def test_linear_suite_exact_rows_are_certified(tmp_path):
     cfg = LinearSuiteConfig(
-        instances=3, dims=(2, 3), seed=0, modes=("exact",), out_dir=str(tmp_path)
+        instances=3, dims=(2, 3), seed=0, oracle_mode="exact", out_dir=str(tmp_path)
     )
     rows = run_linear_suite(cfg)
     assert len(rows) == 3
@@ -128,7 +136,7 @@ def test_linear_suite_records_the_iteration_of_a_failed_closing_check():
     # gain that leaves the loop unstable; the closing check raises after the
     # last outer iteration, and the row keeps that iteration
     cfg = LinearSuiteConfig(
-        instances=3, modes=("sampled",), pg_steps=1, n_rollouts=20, horizon=20
+        instances=3, oracle_mode="sampled", pg_steps=1, n_rollouts=20, horizon=20
     )
     rows = run_linear_suite(cfg)
     assert [r["status"] for r in rows] == ["error:UnstableError"] * 3
@@ -140,7 +148,7 @@ def test_linear_suite_sampled_instance_stabilizes():
         instances=1,
         dims=(2,),
         seed=0,
-        modes=("sampled",),
+        oracle_mode="sampled",
         n_rollouts=150,
         horizon=150,
         pg_steps=120,
@@ -240,11 +248,12 @@ def test_cli_roa_and_baseline_read_the_config_seed(
     assert json.loads((tmp_path / "roa.json").read_text())["seed"] == seed
     seen = []
 
-    def baseline(params, seed, out_dir):
+    def baseline(params=None, seed=0, out_dir=None):
         seen.append(seed)
         return {}
 
-    monkeypatch.setattr(cli, "run_lqr_baseline", baseline)
+    accepted = cli._COMMANDS["baseline-lqr"][1]
+    monkeypatch.setitem(cli._COMMANDS, "baseline-lqr", (baseline, accepted))
     cfg_path.write_text(json.dumps({"seed": 5}))
     assert main(["baseline-lqr", "--config", str(cfg_path), *flags]) == 0
     assert seen == [seed]
@@ -327,7 +336,7 @@ def test_cli_missing_config_file_is_usage_error(tmp_path, capsys):
 
 def test_cli_anneal_linear_smoke(tmp_path, capsys):
     cfg_path = tmp_path / "suite.json"
-    cfg_path.write_text(json.dumps({"instances": 1, "dims": [2], "modes": ["exact"]}))
+    cfg_path.write_text(json.dumps({"instances": 1, "dims": [2], "oracle_mode": "exact"}))
     rc = main(
         ["anneal-linear", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
     )
@@ -339,8 +348,8 @@ def test_cli_anneal_linear_smoke(tmp_path, capsys):
 
 def test_cli_refuses_invalid_loop_setting(tmp_path, capsys):
     cfg_path = tmp_path / "suite.json"
-    cfg_path.write_text(json.dumps({"instances": 1, "pg_steps": -1}))
-    rc = main(["anneal-linear", "--oracle", "sampled", "--config", str(cfg_path)])
+    cfg_path.write_text(json.dumps({"instances": 1, "oracle_mode": "sampled", "pg_steps": -1}))
+    rc = main(["anneal-linear", "--config", str(cfg_path)])
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
@@ -397,8 +406,8 @@ NAN, INF = float("nan"), float("inf")  # json writes and reads them as NaN, Infi
         ("anneal-cartpole", {"trials": 0}, "trials"),
         ("anneal-linear", {"instances": 0}, "instances"),
         ("anneal-linear", {"dims": []}, "dims"),
-        ("anneal-linear", {"modes": []}, "modes"),
-        ("anneal-linear", {"modes": ["analytic"]}, "modes"),
+        ("anneal-linear", {"oracle_mode": []}, "oracle_mode"),
+        ("anneal-linear", {"oracle_mode": "analytic"}, "oracle_mode"),
         ("anneal-linear", {"instances": 1, "estimator": "spsa"}, "estimator"),
         ("anneal-cartpole", {"n_rollouts": 0}, "n_rollouts"),
         ("anneal-cartpole", {"estimator": "spsa"}, "estimator"),
@@ -410,7 +419,7 @@ NAN, INF = float("nan"), float("inf")  # json writes and reads them as NaN, Infi
         # a count must be an integer, refused where it enters rather than as
         # a failed row or trial
         ("anneal-linear", {"instances": 1.5}, "instances"),
-        ("anneal-linear", {"modes": ["sampled"], "n_rollouts": 20.5}, "n_rollouts"),
+        ("anneal-linear", {"oracle_mode": "sampled", "n_rollouts": 20.5}, "n_rollouts"),
         ("anneal-linear", {"pg_steps": 2.5}, "pg_steps"),
         ("anneal-linear", {"max_outer": 0.5}, "max_outer"),
         ("anneal-linear", {"horizon": 2.5}, "horizon"),
@@ -419,6 +428,15 @@ NAN, INF = float("nan"), float("inf")  # json writes and reads them as NaN, Infi
         ("anneal-cartpole", {"pg_steps": 1.5}, "pg_steps"),
         ("anneal-cartpole", {"max_outer": -1}, "max_outer"),
         ("anneal-cartpole", {"horizon": 2.5}, "horizon"),
+        # a value of the wrong JSON type is refused where it enters, not
+        # left to fail as a TypeError
+        ("anneal-cartpole", {"radii": 0.1}, "radii"),
+        ("anneal-cartpole", {"radii": ["a"]}, "radius"),
+        ("anneal-linear", {"dims": 3}, "dims"),
+        ("counterexample", {"gamma": "a"}, "gamma"),
+        ("counterexample", {"gamma": None}, "gamma"),
+        ("baseline-lqr", {"params": {"m_p": "a"}}, "m_p"),
+        ("baseline-lqr", {"params": {"m_p": True}}, "m_p"),
     ],
 )
 def test_cli_refuses_invalid_config_values(tmp_path, capsys, command, config, field):
@@ -428,6 +446,8 @@ def test_cli_refuses_invalid_config_values(tmp_path, capsys, command, config, fi
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
+    # the unknown-key message lists every accepted key, so it would name the field too
+    assert not err["message"].startswith("unknown config key")
     assert field in err["message"]
     assert not (tmp_path / "out").exists()
 
@@ -435,7 +455,10 @@ def test_cli_refuses_invalid_config_values(tmp_path, capsys, command, config, fi
 @pytest.mark.parametrize(
     "command, flag, value",
     [
+        ("anneal-linear", "--oracle", "sampled"),
+        ("anneal-linear", "--estimator", "zeroth"),
         ("anneal-cartpole", "--oracle", "exact"),
+        ("anneal-cartpole", "--estimator", "zeroth"),
         ("roa", "--oracle", "sampled"),
         ("roa", "--estimator", "zeroth"),
         ("counterexample", "--seed", "3"),
@@ -452,15 +475,27 @@ def test_cli_refuses_flags_the_subcommand_does_not_read(command, flag, value):
 
 
 def test_cli_parses_flags_where_they_are_read():
+    # --seed is registered exactly where seed is a config key
     parser = build_parser()
-    args = parser.parse_args(
-        ["anneal-linear", "--seed", "3", "--oracle", "sampled", "--estimator", "zeroth"]
-    )
-    assert (args.seed, args.oracle, args.estimator) == (3, "sampled", "zeroth")
-    args = parser.parse_args(["anneal-cartpole", "--seed", "3", "--estimator", "zeroth"])
-    assert (args.seed, args.estimator) == (3, "zeroth")
-    for command in ("roa", "baseline-lqr"):
-        assert parser.parse_args([command, "--seed", "3"]).seed == 3
+    for command in ("anneal-linear", "anneal-cartpole", "roa", "baseline-lqr"):
+        args = parser.parse_args([command, "--seed", "3", "--out", "x", "--config", "c"])
+        assert (args.seed, args.out, args.config) == (3, "x", "c")
+    assert not hasattr(parser.parse_args(["counterexample"]), "seed")
+
+
+def test_cli_seed_flag_overrides_the_config_seed(tmp_path, capsys):
+    def run(config, *flags):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"instances": 2, "dims": [2], **config}))
+        out = tmp_path / f"out{len(list(tmp_path.iterdir()))}"
+        assert main(["anneal-linear", "--config", str(cfg_path), "--out", str(out), *flags]) == 0
+        meta = json.loads((out / "linear_suite.meta.json").read_text())
+        return (out / "linear_suite.csv").read_bytes(), meta["seed"]
+
+    flagged = run({"seed": 5}, "--seed", "3")
+    assert flagged == run({"seed": 3})
+    assert flagged[1] == 3
+    assert flagged[0] != run({"seed": 5})[0]
 
 
 @pytest.mark.parametrize(
