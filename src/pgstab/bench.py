@@ -80,7 +80,9 @@ def estimate_roa(sys: NonlinearSystem, K: np.ndarray, seed: int = 0) -> RoaRepor
     the critical radius along each to ``ROA_TOL`` (convergence means reaching
     ``||x|| <= ROA_DELTA_CONV * radius`` within ``ROA_HORIZON`` steps), and
     reports the minimum over directions.  Directions that still converge at
-    ``ROA_CEILING`` report the ceiling.  A gain that is not finite or not
+    ``ROA_CEILING`` report the ceiling.  A linear closed loop is
+    scale-invariant, so there every direction reads the ceiling or 0, and
+    ``spectral_radius`` is the certificate.  A gain that is not finite or not
     ``(d_u, d_x)``, or a seed that is not a non-negative integer, is refused
     with a ``ValueError``.
     """

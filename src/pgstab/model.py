@@ -31,9 +31,15 @@ def as_gain(value, d_u: int, d_x: int) -> np.ndarray:
     return K
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number; a ``bool`` is not one."""
+    real = isinstance(value, (int, float, np.integer, np.floating))
+    return real and not isinstance(value, bool)
+
+
 def check_gamma(gamma: float) -> None:
-    """Refuse a discount outside (0, 1]."""
-    if not (0.0 < gamma <= 1.0):
+    """Refuse a discount that is not a real number in (0, 1]."""
+    if not (_is_real(gamma) and 0.0 < gamma <= 1.0):
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
 
 
@@ -48,8 +54,7 @@ def check_count(value, name: str, minimum: int) -> None:
 def check_real(value, name: str, low: float = 0.0, high: float = np.inf) -> None:
     """Refuse a value that is not a real number in the open interval
     ``(low, high)``; a ``bool`` is refused, and so is NaN."""
-    real = isinstance(value, (int, float, np.integer, np.floating))
-    if isinstance(value, bool) or not real or not low < value < high:
+    if not (_is_real(value) and low < value < high):
         raise ValueError(f"{name} must be a real number in ({low:g}, {high:g}), got {value!r}")
 
 

@@ -18,7 +18,7 @@ from pgstab.bench import (
     sample_stabilizable_system,
 )
 from pgstab.cli import build_parser, main
-from pgstab.dynamics import cartpole, linear_as_nonlinear
+from pgstab.dynamics import CartPoleParams, cartpole, linear_as_nonlinear
 from pgstab.files import write_csv, write_json
 from pgstab.matops import solve_dare, spectral_radius
 from pgstab.model import CostSpec, LinearSystem
@@ -219,20 +219,22 @@ def test_cli_anneal_cartpole_writes_its_reports(tmp_path, capsys):
     assert meta["report"] == "cartpole" and meta["config"]["trials"] == 1
 
 
-def test_cli_roa_on_declared_linear_system(tmp_path, capsys):
-    config = {
-        "system": {"kind": "linear", "A": [[0.5, 0.0], [0.0, 0.5]], "B": [[1.0], [0.0]]},
-        "gain": [[0.0, 0.0]],
-        "seed": 3,
-    }
+# a gain of the cart-pole's shape, (d_u, d_x) = (1, 4)
+ROA_GAIN = {"gain": [[0.0, 0.0, 0.0, 0.0]]}
+
+
+def test_cli_roa_on_cartpole_params_matches_the_baseline(tmp_path, capsys):
+    # roa builds the cart-pole from the top-level params, as baseline-lqr does,
+    # so on the baseline's own gain it writes the baseline's ROA exactly
+    baseline = run_lqr_baseline(CartPoleParams(m_p=0.5))
     cfg_path = tmp_path / "roa.json.in"
-    cfg_path.write_text(json.dumps(config))
+    cfg_path.write_text(json.dumps({"params": {"m_p": 0.5}, "gain": baseline["gain"]}))
     rc = main(["roa", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert rc == 0
-    summary = json.loads(capsys.readouterr().out)
-    assert summary["rho_roa"] == 3.0
+    assert json.loads(capsys.readouterr().out)["rho_roa"] == baseline["rho_roa"]
     report = json.loads((tmp_path / "out" / "roa.json").read_text())
-    assert report == {"rho_roa": 3.0, "radii": [3.0] * 64, "seed": 3}
+    assert report["rho_roa"] == baseline["rho_roa"]
+    assert report["seed"] == 0 and len(report["radii"]) == bench.ROA_DIRECTIONS
 
 
 @pytest.mark.parametrize("flags, seed", [([], 5), (["--seed", "2"], 2)])
@@ -241,8 +243,7 @@ def test_cli_roa_and_baseline_read_the_config_seed(
 ):
     # the top-level seed key seeds the ROA directions, and --seed overrides it
     cfg_path = tmp_path / "cfg.json"
-    linear = {"kind": "linear", "A": [[0.5]], "B": [[1.0]]}
-    cfg_path.write_text(json.dumps({"system": linear, "gain": [[0.0]], "seed": 5}))
+    cfg_path.write_text(json.dumps({**ROA_GAIN, "seed": 5}))
     rc = main(["roa", "--config", str(cfg_path), "--out", str(tmp_path), *flags])
     assert rc == 0
     assert json.loads((tmp_path / "roa.json").read_text())["seed"] == seed
@@ -261,27 +262,28 @@ def test_cli_roa_and_baseline_read_the_config_seed(
 
 def test_cli_roa_without_gain_is_usage_error(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(json.dumps({"system": {"kind": "cartpole"}}))
+    cfg_path.write_text(json.dumps({}))
     rc = main(["roa", "--config", str(cfg_path)])
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
+    assert "gain must be a 2-D matrix" in err["message"]
 
 
 @pytest.mark.parametrize(
     "config, named",
     [
-        ({"system": {"kind": "linear"}, "gain": [[0.0, 0.0]]}, "'A', 'B'"),
-        ({"system": {"kind": "linear", "A": [[0.5]]}, "gain": [[0.0]]}, "'B'"),
         ({"gain": [[0.0, 0.0]]}, "gain must have shape (1, 4)"),
         ({"gain": [0.0, 0.0, 0.0, 0.0]}, "gain must be a 2-D matrix"),
         ({"gain": [[0.0, float("nan"), 0.0, 0.0]]}, "gain has non-finite entries"),
-        ({"system": {"kind": "pendulum"}, "gain": [[0.0]]}, "unknown system kind 'pendulum'"),
+        # roa reads no system spec: one is refused, not ignored in favour of
+        # the default cart-pole
+        (
+            {"system": {"kind": "cartpole"}, **ROA_GAIN},
+            "unknown config key 'system'; accepted: ['gain', 'params', 'seed']",
+        ),
     ],
-    ids=[
-        "linear-without-A-B", "linear-without-B", "gain-shape", "gain-1d", "gain-nan",
-        "unknown-kind",
-    ],
+    ids=["gain-shape", "gain-1d", "gain-nan", "system-spec"],
 )
 def test_cli_roa_refuses_malformed_system_or_gain(tmp_path, capsys, config, named):
     cfg_path = tmp_path / "cfg.json"
@@ -297,11 +299,11 @@ def test_cli_roa_refuses_malformed_system_or_gain(tmp_path, capsys, config, name
 @pytest.mark.parametrize(
     "command, config, named",
     [
-        ("roa", {"system": [1, 2], "gain": [[0.0] * 4]}, "'system'"),
-        ("roa", {"system": {"params": [1]}, "gain": [[0.0] * 4]}, "system.'params'"),
+        ("roa", {"params": [1], **ROA_GAIN}, "'params'"),
+        ("anneal-cartpole", {"params": [1]}, "'params'"),
         ("baseline-lqr", {"params": 5}, "'params'"),
     ],
-    ids=["roa-system-list", "cartpole-params-list", "baseline-params-number"],
+    ids=["roa-params-list", "cartpole-params-list", "baseline-params-number"],
 )
 def test_cli_refuses_config_value_that_is_not_an_object(
     tmp_path, capsys, command, config, named
@@ -387,15 +389,14 @@ def test_configs_accept_numpy_integer_counts():
     assert AnnealConfig(max_outer=np.int32(0)).max_outer == 0
 
 
-ROA_GAIN = {"gain": [[0.0, 0.0, 0.0, 0.0]]}
 NAN, INF = float("nan"), float("inf")  # json writes and reads them as NaN, Infinity
 
 
 @pytest.mark.parametrize(
     "command, config, field",
     [
-        ("roa", {**ROA_GAIN, "system": {"params": {"m_p": NAN}}}, "m_p"),
-        ("roa", {**ROA_GAIN, "system": {"params": {"ts": INF}}}, "ts"),
+        ("roa", {**ROA_GAIN, "params": {"m_p": NAN}}, "m_p"),
+        ("roa", {**ROA_GAIN, "params": {"ts": INF}}, "ts"),
         ("baseline-lqr", {"params": {"m_c": INF}}, "m_c"),
         ("anneal-cartpole", {"params": {"m_p": NAN}}, "m_p"),
         # every radius is checked before the first trial runs
@@ -506,21 +507,12 @@ def test_cli_seed_flag_overrides_the_config_seed(tmp_path, capsys):
         ("roa", {"gain": [[0.0, 0.0, 0.0, 0.0]], "directons": 8}, "directons"),
         ("counterexample", {"gama": 0.5}, "gama"),
         ("baseline-lqr", {"params": {"horizn": 10}}, "horizn"),
-        # a system kind refuses the keys it does not read
-        (
-            "roa",
-            {**ROA_GAIN, "system": {"kind": "cartpole", "A": [[2.0]], "B": [[1.0]]}},
-            "A",
-        ),
-        ("roa", {**ROA_GAIN, "system": {"kind": "cartpole", "B": [[1.0]]}}, "B"),
-        (
-            "roa",
-            {
-                "gain": [[0.0]],
-                "system": {"kind": "linear", "A": [[0.5]], "B": [[1.0]], "params": {}},
-            },
-            "params",
-        ),
+        # roa reads only the cart-pole: a linear system's matrices are refused,
+        # inside params or at the top level, and so is a system spec's params
+        # lifted to the top level without being unwrapped
+        ("roa", {**ROA_GAIN, "params": {"A": [[2.0]], "B": [[1.0]]}}, "A"),
+        ("roa", {**ROA_GAIN, "B": [[1.0]]}, "B"),
+        ("roa", {**ROA_GAIN, "params": {"params": {"m_p": 0.5}}}, "params"),
         # the ROA estimate has no settings but its seed, a top-level key
         ("roa", {**ROA_GAIN, "roa": [1]}, "roa"),
         ("baseline-lqr", {"roa": 5}, "roa"),

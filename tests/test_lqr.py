@@ -86,8 +86,9 @@ def test_public_entries_refuse_bad_gain_and_gamma(entry):
     for K in bad_gains:
         with pytest.raises(ValueError):
             entry(sys, cost, K, 0.5)
-    for gamma in (0.0, -0.5, 1.5, np.nan):
-        with pytest.raises(ValueError):
+    # a discount that is not a real number is refused too, and a bool is not one
+    for gamma in (0.0, -0.5, 1.5, np.nan, "a", None, True, np.True_):
+        with pytest.raises(ValueError, match="gamma must lie in"):
             entry(sys, cost, stabilizing, gamma)
 
 

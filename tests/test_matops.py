@@ -347,6 +347,13 @@ def test_dare_not_stabilizable():
         solve_dare(sys, CostSpec.identity(2, 1))
 
 
+@pytest.mark.parametrize("gamma", [0.0, 1.5, np.nan, "a", None, True])
+def test_solve_dare_refuses_discount_that_is_not_in_unit_interval(gamma):
+    sys = LinearSystem(np.array([[2.0]]), np.array([[1.0]]))
+    with pytest.raises(ValueError, match="gamma must lie in"):
+        solve_dare(sys, CostSpec.identity(1, 1), gamma)
+
+
 def _with_hidden_mode(rng, d):
     """A random (A, B) whose last ``d - m`` states B cannot reach, with the
     spectral radius of that block drawn in (1.2, 3): stabilizable only at a

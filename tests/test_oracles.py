@@ -587,7 +587,7 @@ def test_oracle_config_validation():
 @pytest.mark.parametrize(
     "estimator", [eps_eval, eps_grad_sensitivity, eps_grad_zeroth_order]
 )
-@pytest.mark.parametrize("gamma", [1.5, 0.0, -1.0, np.nan])
+@pytest.mark.parametrize("gamma", [1.5, 0.0, -1.0, np.nan, "a", None, True])
 def test_estimators_refuse_discount_outside_unit_interval(estimator, gamma):
     cfg = OracleConfig(n_rollouts=4, horizon=5)
     with pytest.raises(ValueError, match="gamma must lie in"):
