@@ -24,7 +24,7 @@ from . import files, oracles
 from .dynamics import NonlinearSystem, jacobian_linearization
 from .lqr import lqr_cost, value_matrix
 from .matops import UnstableError, solve_dare, spectral_radius
-from .model import CostSpec, LinearSystem, check_count, check_gamma
+from .model import CostSpec, LinearSystem, check_count
 
 
 class AnnealError(RuntimeError):
@@ -100,21 +100,15 @@ class SearchBracket:
     ``f1_bar`` and ``f2_bar`` are the estimated lower/upper cost targets
     (about ``C1`` and ``C2`` times the cost at the current discount),
     ``eps`` the evaluation tolerance used in the accept rule and ``budget``
-    the most queries a search may make, the gamma = 1 query included.
+    the most queries a search may make, the gamma = 1 query included.  A
+    plain record, built by ``discount_anneal`` from a checked cost and not
+    re-checked: a window nothing lands in ends in ``BudgetExceededError``.
     """
 
     f1_bar: float
     f2_bar: float
     eps: float
     budget: int
-
-    def __post_init__(self):
-        if not (0.0 < self.f1_bar < self.f2_bar):
-            raise ValueError("need 0 < f1_bar < f2_bar")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.budget < 2:
-            raise ValueError("budget must allow at least two queries")
 
 
 def _search(
@@ -132,7 +126,6 @@ def _search(
     ``f2_bar + tol`` (or NaN) moves ``hi`` down to x, one below
     ``f1_bar + tol`` moves ``lo`` up to x, and any other is accepted.
     """
-    check_gamma(gamma_t)
     if float(evaluator(1.0)) <= bracket.f2_bar + bracket.eps:
         return 1.0
     lo, hi = gamma_t, 1.0
@@ -246,9 +239,9 @@ def _from_manifest(cls, d: dict):
 
 @dataclass
 class AnnealState:
-    """Progress of an annealing run, held as its history; serializes to the
-    run manifest.  The current discount is ``gammas[-1]`` and the current
-    gain ``history[-1].gain``."""
+    """Progress of an annealing run, held as its history and the counts of
+    all its oracle queries; serializes to the run manifest.  The current
+    discount is ``gammas[-1]`` and the current gain ``history[-1].gain``."""
 
     gamma0: float
     history: list[IterationRecord] = field(default_factory=list)
@@ -297,17 +290,16 @@ def config_hash(cfg: AnnealConfig) -> str:
 
 @dataclass
 class _ExactOracle:
-    """Cost queries answered by the exact solvers on (A, B).  Its inner loop
-    needs no gradient, so ``grad_queries`` stays 0 in exact mode."""
+    """Cost queries answered by the exact solvers on (A, B), counted in the
+    run's ``state``; the inner loop makes no gradient query."""
 
     sys: LinearSystem
     cost: CostSpec
     cfg: AnnealConfig
-    eval_queries: int = 0
-    grad_queries: int = 0
+    state: AnnealState
 
     def evaluate(self, K, gamma: float, cap: float = np.inf) -> tuple[float, bool]:
-        self.eval_queries += 1
+        self.state.eval_queries += 1
         try:
             j = lqr_cost(self.sys, self.cost, K, gamma)
         except UnstableError:
@@ -331,7 +323,7 @@ class _ExactOracle:
         K = np.array(K0, dtype=float)
         costs: list[float] = []
         while True:
-            self.eval_queries += 1
+            self.state.eval_queries += 1
             try:
                 P = value_matrix(sys, cost, K, gamma)
             except UnstableError as exc:
@@ -360,26 +352,25 @@ class _ExactOracle:
 
 @dataclass
 class _SampledOracle:
-    """Cost/gradient queries answered by seeded Monte-Carlo rollouts; each
-    draws the noise substream numbered by the count of queries before it."""
+    """Cost/gradient queries answered by seeded Monte-Carlo rollouts, counted
+    in the run's ``state``; each draws the substream numbered by those before it."""
 
     sys: NonlinearSystem
     cost: CostSpec
     cfg: AnnealConfig
-    eval_queries: int = 0
-    grad_queries: int = 0
+    state: AnnealState
 
     def evaluate(self, K, gamma: float, cap: float = np.inf) -> tuple[float, bool]:
-        idx = self.eval_queries + self.grad_queries
-        self.eval_queries += 1
+        idx = self.state.eval_queries + self.state.grad_queries
+        self.state.eval_queries += 1
         res = oracles.eps_eval(
             self.sys, K, gamma, self.cfg.oracle, self.cost, query_index=idx, cap=cap
         )
         return res.value, res.capped
 
     def gradient(self, K, gamma: float) -> tuple[np.ndarray, float, bool]:
-        idx = self.eval_queries + self.grad_queries
-        self.grad_queries += 1
+        idx = self.state.eval_queries + self.state.grad_queries
+        self.state.grad_queries += 1
         estimator = (
             oracles.eps_grad_zeroth_order
             if self.cfg.oracle.estimator == "zeroth"
@@ -407,7 +398,7 @@ class _SampledOracle:
                 raise ValueError("the cost at the initial gain is not finite")
             costs.append(value)
             if not capped and value < best_j:
-                best_k, best_j = K.copy(), value
+                best_k, best_j = K, value
             K = K - opt.update(grad)
         if best_k is None:
             raise InnerDivergedError(
@@ -415,6 +406,10 @@ class _SampledOracle:
             )
         j, capped = self.evaluate(best_k, gamma)
         return PgResult(best_k, self.cfg.pg_steps, costs, j, capped=capped)
+
+
+def _snap(gamma: float) -> float:
+    return 1.0 if gamma >= 1.0 - 1e-12 else gamma
 
 
 def _write_manifest(cfg: AnnealConfig, state: AnnealState) -> None:
@@ -452,7 +447,8 @@ def discount_anneal(
     The solve's last cost query, of its gain, is the J the search and
     ``cost_end`` read; below gamma = 1 it must be finite and uncapped.
 
-    gamma_0 is ``min(1, 0.9 / ||A||^2)`` on the declared or linearized ``A``.
+    gamma_0 is ``min(1, 0.9 / ||A||^2)`` on the declared or linearized ``A``;
+    it or a searched discount within 1e-12 of 1 is taken as 1.
     Declared-linear systems are searched by bisection with evaluation
     tolerance ``0.1 d_x`` and ``3 (ceil(4 ln max(e, C2 J)) + 10)`` queries for
     a gain of cost J, others by seeded random search with ``0.01 d_x`` and
@@ -470,9 +466,9 @@ def discount_anneal(
     ``anneal_iteration``, and a failed closing check carries the last one.
 
     ``resume_from`` continues the run a manifest holds, under the same
-    ``config_hash``, which covers only the fields the oracle mode reads.  A
-    finished run resumes to its stored gain with no oracle query, and goes
-    through the same closing check.
+    ``config_hash``, which covers only the fields the oracle mode reads, and
+    counts its queries on from the manifest's.  A finished run resumes to its
+    stored gain with no oracle query, and goes through the same closing check.
     """
     cfg = cfg or AnnealConfig()
     d_x, d_u = sys.d_x, sys.d_u
@@ -499,20 +495,17 @@ def discount_anneal(
             )
         state = AnnealState.from_dict(manifest["state"])
     else:
-        gamma0 = min(1.0, 0.9 / np.linalg.norm(lin.A, 2) ** 2)
-        state = AnnealState(gamma0=gamma0)
+        state = AnnealState(gamma0=_snap(min(1.0, 0.9 / np.linalg.norm(lin.A, 2) ** 2)))
 
-    counts = (state.eval_queries, state.grad_queries)
     if cfg.oracle_mode == "exact":
-        oracle = _ExactOracle(lin, cost, cfg, *counts)
+        oracle = _ExactOracle(lin, cost, cfg, state)
     else:
-        oracle = _SampledOracle(sys, cost, cfg, *counts)
+        oracle = _SampledOracle(sys, cost, cfg, state)
 
     K = np.array(state.history[-1].gain) if state.history else np.zeros((d_u, d_x))
     while not state.done:
         t = state.outer_iterations
         gamma = state.gammas[-1]
-        final = gamma >= 1.0 - 1e-12
         gamma_next = None
         transcript: list[dict] = []
         try:
@@ -520,7 +513,7 @@ def discount_anneal(
                 raise BudgetExceededError(f"annealing exceeded {cfg.max_outer} outer iterations")
             pg = policy_gradient(oracle, K, gamma)
             K = pg.gain
-            if not final:
+            if gamma < 1.0:
                 if pg.capped or not np.isfinite(pg.cost):
                     raise InnerDivergedError(
                         f"cost estimate at gamma={gamma:g} is not finite "
@@ -549,14 +542,13 @@ def discount_anneal(
                         np.random.SeedSequence(cfg.seed, spawn_key=(0x5EA2C, t))
                     )
                     gamma_next = random_search_gamma(evaluator, gamma, bracket, rng)
-                if gamma_next > 1.0 - 1e-12:
-                    gamma_next = 1.0
+                gamma_next = _snap(gamma_next)
         except Exception as exc:
             exc.anneal_iteration = t
             raise
         state.history.append(
             IterationRecord(
-                gamma=1.0 if final else gamma,
+                gamma=gamma,
                 gamma_next=gamma_next,
                 inner_steps=pg.steps,
                 cost_start=pg.costs[0],
@@ -566,8 +558,6 @@ def discount_anneal(
                 gain=K.tolist(),
             )
         )
-        state.eval_queries = oracle.eval_queries
-        state.grad_queries = oracle.grad_queries
         if cfg.out_dir is not None and not state.done:
             _write_manifest(cfg, state)
 

@@ -4,11 +4,13 @@ linear systems in both exact and sampled mode."""
 
 import json
 import math
+import tempfile
 from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference import (
     binary_search_gamma_loop,
@@ -70,15 +72,15 @@ GAMMA_FAR = 0.8
 
 
 def test_gap_mode_reaches_target_gap():
-    oracle = _ExactOracle(SYS, COST, AnnealConfig())
-    res = oracle.solve(np.zeros((1, 2)), GAMMA_FAR)
+    state = AnnealState(GAMMA_FAR)
+    res = _ExactOracle(SYS, COST, AnnealConfig(), state).solve(np.zeros((1, 2)), GAMMA_FAR)
     assert res.costs[0] - res.optimal_cost > SYS.d_x
     assert res.cost == res.costs[-1]
     assert res.cost - res.optimal_cost <= SYS.d_x
     assert res.optimal_cost == float(np.trace(solve_dare(SYS, COST, GAMMA_FAR)[0]))
     # one cost query for the start and one per step, and no gradient query
-    assert oracle.eval_queries == res.steps + 1 == len(res.costs)
-    assert oracle.grad_queries == 0
+    assert state.eval_queries == res.steps + 1 == len(res.costs)
+    assert state.grad_queries == 0
     # policy iteration lowers the cost at every step
     assert all(b < a for a, b in zip(res.costs, res.costs[1:]))
 
@@ -86,7 +88,7 @@ def test_gap_mode_reaches_target_gap():
 def test_gap_mode_stops_immediately_at_optimum():
     gamma = 0.5
     p_star, k_star = solve_dare(SYS, COST, gamma)
-    res = _ExactOracle(SYS, COST, AnnealConfig()).solve(k_star, gamma)
+    res = _ExactOracle(SYS, COST, AnnealConfig(), AnnealState(gamma)).solve(k_star, gamma)
     assert res.steps == 0
     assert np.array_equal(res.gain, k_star)
     assert res.optimal_cost == float(np.trace(p_star))
@@ -94,7 +96,7 @@ def test_gap_mode_stops_immediately_at_optimum():
 
 def test_gap_mode_rejects_infinite_start():
     # undamped cost of the zero gain is infinite: rho(A) > 1
-    oracle = _ExactOracle(SYS, COST, AnnealConfig())
+    oracle = _ExactOracle(SYS, COST, AnnealConfig(), AnnealState(1.0))
     with pytest.raises(ValueError):
         oracle.solve(np.zeros((1, 2)), 1.0)
 
@@ -104,8 +106,8 @@ def test_gap_mode_budget_error(budget):
     # at gamma = 0.9 this gain starts about 15 above the optimum and takes
     # two steps to the gap d_x = 2
     K = np.array([[-0.2, -0.9]])
-    assert _ExactOracle(SYS, COST, AnnealConfig()).solve(K, 0.9).steps == 2
-    oracle = _ExactOracle(SYS, COST, AnnealConfig(exact_max_steps=budget))
+    assert _ExactOracle(SYS, COST, AnnealConfig(), AnnealState(0.9)).solve(K, 0.9).steps == 2
+    oracle = _ExactOracle(SYS, COST, AnnealConfig(exact_max_steps=budget), AnnealState(0.9))
     with pytest.raises(BudgetExceededError):
         oracle.solve(K, 0.9)
 
@@ -193,15 +195,15 @@ class SyntheticOracle(_SampledOracle):
             oracle=OracleConfig(radius=0.01 / learning_rate),
             pg_steps=pg_steps,
         )
-        super().__init__(None, None, cfg)
+        super().__init__(None, None, cfg, AnnealState(1.0))
         self.grad_fn = grad_fn
 
     def gradient(self, K, gamma):
-        self.grad_queries += 1
+        self.state.grad_queries += 1
         return self.grad_fn(K)
 
     def evaluate(self, K, gamma, cap=np.inf):
-        self.eval_queries += 1
+        self.state.eval_queries += 1
         _, value, capped = self.grad_fn(K)
         return value, capped
 
@@ -260,7 +262,7 @@ def test_fixed_steps_raises_when_no_estimate_is_usable(pg_steps):
         match=rf"none of the {pg_steps} cost estimates was finite and uncapped",
     ):
         oracle.solve(np.zeros((1, 2)), 1.0)
-    assert (oracle.grad_queries, oracle.eval_queries) == (pg_steps, 0)
+    assert (oracle.state.grad_queries, oracle.state.eval_queries) == (pg_steps, 0)
 
 
 def test_fixed_steps_returns_lowest_usable_iterate_after_capped_streak():
@@ -282,7 +284,7 @@ def test_fixed_steps_returns_lowest_usable_iterate_after_capped_streak():
     res = oracle.solve(np.zeros((1, 2)), 1.0)
     assert res.costs[:6] == [0.5] * 6
     assert all(b < a for a, b in zip(res.costs[6:], res.costs[7:]))
-    assert (oracle.grad_queries, oracle.eval_queries) == (20, 1)
+    assert (oracle.state.grad_queries, oracle.state.eval_queries) == (20, 1)
     assert res.cost == quadratic_value(res.gain, target) == res.costs[-1]
     assert not res.capped
 
@@ -294,17 +296,6 @@ def test_fixed_steps_rejects_infinite_start():
     oracle = SyntheticOracle(bad_grad, learning_rate=0.1, pg_steps=10)
     with pytest.raises(ValueError):
         oracle.solve(np.zeros((1, 2)), 1.0)
-
-
-def test_search_bracket_validation():
-    with pytest.raises(ValueError):
-        SearchBracket(f1_bar=5.0, f2_bar=4.0, eps=0.1, budget=60)
-    with pytest.raises(ValueError):
-        SearchBracket(f1_bar=0.0, f2_bar=4.0, eps=0.1, budget=60)
-    with pytest.raises(ValueError):
-        SearchBracket(f1_bar=1.0, f2_bar=4.0, eps=0.0, budget=60)
-    with pytest.raises(ValueError):
-        SearchBracket(f1_bar=1.0, f2_bar=4.0, eps=0.1, budget=1)
 
 
 def monotone_cost(gamma):
@@ -361,14 +352,6 @@ def test_search_budget_error_outside_a_run_has_no_iteration():
     with pytest.raises(BudgetExceededError) as excinfo:
         binary_search_gamma(lambda g: 100.0 if g >= 0.5 else 1.0, 0.1, bracket)
     assert excinfo.value.anneal_iteration is None
-
-
-def test_binary_search_rejects_bad_gamma():
-    bracket = SearchBracket(f1_bar=1.0, f2_bar=2.0, eps=0.1, budget=60)
-    with pytest.raises(ValueError):
-        binary_search_gamma(monotone_cost, 0.0, bracket)
-    with pytest.raises(ValueError):
-        binary_search_gamma(monotone_cost, 1.5, bracket)
 
 
 def test_random_search_accepts_inside_window():
@@ -786,12 +769,13 @@ CUBIC_CFG = AnnealConfig(
 def test_sampled_solve_turns_all_diverged_gradient_query_into_inner_diverged():
     # the gradient query that loses every rollout ends the solve at once,
     # and outside a run nothing tags the error with an iteration
-    oracle = _SampledOracle(cubic_system(), CostSpec.identity(1, 1), CUBIC_CFG)
+    state = AnnealState(1.0)
+    oracle = _SampledOracle(cubic_system(), CostSpec.identity(1, 1), CUBIC_CFG, state)
     with pytest.raises(InnerDivergedError) as excinfo:
         oracle.solve(np.zeros((1, 1)), 1.0)
     assert isinstance(excinfo.value.__cause__, DivergedAllError)
     assert excinfo.value.anneal_iteration is None
-    assert (oracle.grad_queries, oracle.eval_queries) == (1, 0)
+    assert (state.grad_queries, state.eval_queries) == (1, 0)
 
 
 def test_anneal_tags_all_diverged_gradient_query_with_iteration():
@@ -911,6 +895,66 @@ def test_anneal_manifest_resume_matches_uninterrupted_run(tmp_path, cfg):
     # the counts carry across the resume instead of restarting from zero
     for name in ("eval_queries", "grad_queries"):
         assert getattr(resumed, name) == getattr(fresh, name), name
+
+
+RESUME_MODES = {"exact": AnnealConfig(), "sensitivity": SAMPLED_50x100, "zeroth": ZEROTH_50x100}
+RESUME_SYS = linear_suite_systems()[1]
+
+
+def run_with_fault(mode, cfg, fault_at=None, resume_from=None):
+    """Anneal suite draw 1 (3 outer iterations exact, 4 sampled) in the mode,
+    raising FloatingPointError at call ``fault_at`` of the query primitive
+    the mode goes through: the exact solve's ``value_matrix`` or the
+    simulator's ``step``.  Returns the gain, the state and the call count."""
+    calls = [0]
+    nls = linear_as_nonlinear(RESUME_SYS)
+
+    def faulty(inner):
+        def call(*args):
+            calls[0] += 1
+            if calls[0] == fault_at:
+                raise FloatingPointError("injected")
+            return inner(*args)
+
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        if mode == "exact":
+            mp.setattr(pgstab.anneal, "value_matrix", faulty(pgstab.anneal.value_matrix))
+        else:
+            nls = replace(nls, step=faulty(nls.step))
+        gain, state = discount_anneal(nls, cfg=cfg, resume_from=resume_from)
+    return gain, state, calls[0]
+
+
+@pytest.fixture(scope="module")
+def uninterrupted():
+    """Each mode's run of ``run_with_fault`` with no fault."""
+    return {mode: run_with_fault(mode, cfg) for mode, cfg in RESUME_MODES.items()}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(mode=st.sampled_from(sorted(RESUME_MODES)), by_fault=st.booleans(), data=st.data())
+def test_anneal_resume_from_any_interruption_matches_uninterrupted_run(
+    uninterrupted, mode, by_fault, data
+):
+    # an interrupted run resumed from its last manifest is the uninterrupted
+    # run: the same gain bytes, history, transcripts, counts and radius
+    cfg = RESUME_MODES[mode]
+    fresh_gain, fresh, calls = uninterrupted[mode]
+    with tempfile.TemporaryDirectory() as out:
+        manifest = Path(out) / "manifest.json"
+        if by_fault:
+            with pytest.raises(FloatingPointError):
+                run_with_fault(mode, replace(cfg, out_dir=out), data.draw(st.integers(1, calls)))
+            assume(manifest.exists())
+        else:
+            k = data.draw(st.integers(1, fresh.outer_iterations - 1))
+            with pytest.raises(BudgetExceededError):
+                run_with_fault(mode, replace(cfg, max_outer=k, out_dir=out))
+        gain, state, _ = run_with_fault(mode, cfg, resume_from=manifest)
+    assert gain.tobytes() == fresh_gain.tobytes()
+    assert asdict(state) == asdict(fresh)
 
 
 @pytest.mark.parametrize(
@@ -1075,6 +1119,27 @@ def test_anneal_writes_manifest_and_gains_on_success(tmp_path):
     last = rows[-1].split(",")
     assert float(last[1]) == 1.0
     assert np.allclose([float(v) for v in last[2:]], gain.reshape(-1))
+
+
+def test_anneal_snaps_a_discount_within_1e_12_of_1_where_it_enters_the_schedule(
+    monkeypatch,
+):
+    # ||A||^2 = 0.9 (1 + 5e-13) puts 0.9 / ||A||^2 within 1e-12 of 1: the
+    # schedule holds 1.0, and the one solve, undamped, is the one recorded
+    A = np.diag([math.sqrt(0.9 * (1 + 5e-13)), 0.3])
+    lin = LinearSystem(A, np.array([[1.0], [0.0]]))
+    gammas = []
+    inner = _ExactOracle.solve
+
+    def recording(self, K0, gamma):
+        gammas.append(gamma)
+        return inner(self, K0, gamma)
+
+    monkeypatch.setattr(_ExactOracle, "solve", recording)
+    _, state = discount_anneal(linear_as_nonlinear(lin))
+    assert state.gammas[-1] == 1.0
+    assert all(state.gammas[t] == rec.gamma for t, rec in enumerate(state.history))
+    assert gammas == [rec.gamma for rec in state.history]
 
 
 def test_anneal_sampled_mode_stabilizes_linear_system():

@@ -20,7 +20,7 @@ from pgstab.bench import (
 from pgstab.cli import build_parser, main
 from pgstab.dynamics import CartPoleParams, cartpole, linear_as_nonlinear
 from pgstab.files import write_csv, write_json
-from pgstab.matops import solve_dare, spectral_radius
+from pgstab.matops import NotStabilizableError, solve_dare, spectral_radius
 from pgstab.model import CostSpec, LinearSystem
 from pgstab.oracles import OracleConfig
 
@@ -79,6 +79,27 @@ def test_sample_stabilizable_system_respects_radius_band():
         assert 1.0 < rho <= 2.0
         p_star, _ = solve_dare(lin, CostSpec.identity(lin.d_x, lin.d_u), 1.0)
         assert np.isfinite(np.trace(p_star))
+
+
+def test_sample_stabilizable_system_draws_again_after_a_refusal(monkeypatch):
+    # with the first draw of the stream refused, the second one comes back
+    rng = np.random.default_rng(4)
+    first, second = sample_stabilizable_system(rng, 3), sample_stabilizable_system(rng, 3)
+    drawn = []
+    inner = bench.solve_dare
+
+    def refuse_first(sys, *args):
+        drawn.append(sys)
+        if len(drawn) == 1:
+            raise NotStabilizableError("refused")
+        return inner(sys, *args)
+
+    monkeypatch.setattr(bench, "solve_dare", refuse_first)
+    lin = sample_stabilizable_system(np.random.default_rng(4), 3)
+    assert len(drawn) == 2
+    assert np.array_equal(drawn[0].A, first.A)
+    assert lin is drawn[1]
+    assert np.array_equal(lin.A, second.A) and np.array_equal(lin.B, second.B)
 
 
 def test_linear_suite_exact_rows_are_certified(tmp_path):

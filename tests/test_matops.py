@@ -427,6 +427,24 @@ def test_solve_dare_slow_stable_uncontrollable_mode():
     assert np.linalg.norm(p - p_ref) <= 1e-8 * np.linalg.norm(p_ref)
 
 
+def test_solve_dare_refuses_cost_of_other_dimensions():
+    sys = LinearSystem(np.eye(2), np.ones((2, 1)))
+    with pytest.raises(ValueError, match="cost dimensions do not match"):
+        solve_dare(sys, CostSpec.identity(3, 1))
+
+
+@pytest.mark.parametrize("slow", [1e-11, 1e-10, 5e-10])
+def test_solve_dare_refuses_unstable_greedy_gain_of_converged_limit(slow):
+    # a mode B cannot reach, decaying at 1 - slow: the doubling converges, but
+    # every gain leaves that mode in the loop, within dlyap's 1e-9 margin of 1
+    sys = LinearSystem(np.diag([1.0 - slow, 0.5]), np.array([[0.0], [1.0]]))
+    with pytest.raises(
+        NotStabilizableError, match="greedy gain after Riccati doubling is not stable"
+    ) as excinfo:
+        solve_dare(sys, CostSpec.identity(2, 1))
+    assert isinstance(excinfo.value.__cause__, UnstableError)
+
+
 def test_solve_dare_refuses_marginal_uncontrollable_mode():
     # a mode at exactly 1 that B cannot reach: H_k grows like 2^k until it
     # passes the divergence bound
